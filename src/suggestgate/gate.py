@@ -96,11 +96,14 @@ def select_threshold(
 def should_trigger(model: AcceptanceModel, x, tau: float) -> GateDecision:
     """Trigger iff the predicted acceptance probability clears tau.
 
-    Fail-open contract: any internal prediction error yields Trigger with
-    reason FailOpen rather than surfacing to the caller — a filter bug must
-    never silently block all suggestions.
+    Fail-open contract: any internal prediction error, a non-finite feature
+    or a tau outside (0, 1) yields Trigger with reason FailOpen rather than
+    surfacing to the caller — a filter bug must never silently block all
+    suggestions.
     """
     try:
+        if not 0.0 < tau < 1.0:
+            raise ValueError(f"tau must be in (0, 1), got {tau}")
         p = predict_proba(model, x)
     except Exception:
         return GateDecision(

@@ -23,7 +23,7 @@ from .errors import (
 )
 from .features import FEATURE_NAMES, FeatureVector
 
-MODEL_FORMAT_VERSION = "suggestgate-model/1"
+MODEL_FORMAT_VERSION = "suggestgate-model/2"
 
 _PROB_CLIP = 1e-12
 DEFAULT_TAU = 0.1
@@ -34,7 +34,8 @@ def _sigmoid(z):
 
 
 def _clip_probs(p):
-    return np.clip(p, _PROB_CLIP, 1.0 - _PROB_CLIP)
+    # Same values as np.clip, at half its call overhead on a single row.
+    return np.minimum(np.maximum(p, _PROB_CLIP), 1.0 - _PROB_CLIP)
 
 
 def weighted_bce(preds, labels, weights: tuple[float, float]) -> float:
@@ -86,6 +87,11 @@ class AcceptanceModel:
     tau: float = DEFAULT_TAU
     version: str = MODEL_FORMAT_VERSION
 
+    def __post_init__(self) -> None:
+        # Standardization as arrays, built once: every prediction needs them.
+        object.__setattr__(self, "_mean", np.asarray(self.mean, dtype=float))
+        object.__setattr__(self, "_std", np.asarray(self.std, dtype=float))
+
     def with_tau(self, tau: float) -> "AcceptanceModel":
         return AcceptanceModel(
             feature_names=self.feature_names,
@@ -106,7 +112,7 @@ def _standardization(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _standardize(X: np.ndarray, model: AcceptanceModel) -> np.ndarray:
-    return (X - np.asarray(model.mean)) / np.asarray(model.std)
+    return (X - model._mean) / model._std
 
 
 def split_to_arrays(records) -> tuple[np.ndarray, np.ndarray]:
@@ -191,74 +197,82 @@ def train_logistic(
 
 
 # --- gradient-boosted trees --------------------------------------------
+#
+# A tree is a complete depth-D heap: node k sends a row to 2k+1 iff
+# x[feature] <= threshold, else to 2k+2; node 2^D - 1 + i is leaf i. A node
+# that stopped early is padded with feature 0 and threshold 0.0, and every
+# leaf below it holds its value.
 
 _SPLIT_LAMBDA = 1e-6
 _MIN_GAIN = 1e-12
 
 
-def _fit_tree(
-    X: np.ndarray, g: np.ndarray, h: np.ndarray, idx: np.ndarray, depth: int
-) -> dict:
-    g_sum = float(g[idx].sum())
-    h_sum = float(h[idx].sum())
-    leaf = {"value": g_sum / (h_sum + _SPLIT_LAMBDA)}
-    if depth == 0 or idx.size < 2:
-        return leaf
+def _best_split(
+    Xt: np.ndarray, rows: np.ndarray, g: np.ndarray, h: np.ndarray, g_sum: float, h_sum: float
+) -> tuple[int, float] | None:
+    """Exact greedy split of one node over every feature at once.
 
-    base_score = g_sum * g_sum / (h_sum + _SPLIT_LAMBDA)
-    best_gain = _MIN_GAIN
-    best = None
-    for j in range(X.shape[1]):
-        xs = X[idx, j]
-        order = np.argsort(xs, kind="stable")
-        xs_sorted = xs[order]
-        gl = np.cumsum(g[idx][order])[:-1]
-        hl = np.cumsum(h[idx][order])[:-1]
-        valid = xs_sorted[:-1] < xs_sorted[1:]
-        if not valid.any():
-            continue
-        gr = g_sum - gl
-        hr = h_sum - hl
-        gain = (
-            gl * gl / (hl + _SPLIT_LAMBDA)
-            + gr * gr / (hr + _SPLIT_LAMBDA)
-            - base_score
-        )
-        gain = np.where(valid, gain, -np.inf)
-        pos = int(np.argmax(gain))
-        if gain[pos] > best_gain:
-            best_gain = float(gain[pos])
-            threshold = 0.5 * (xs_sorted[pos] + xs_sorted[pos + 1])
-            best = (j, float(threshold))
-    if best is None:
-        return leaf
-
-    j, threshold = best
-    mask = X[idx, j] <= threshold
-    left_idx = idx[mask]
-    right_idx = idx[~mask]
-    if left_idx.size == 0 or right_idx.size == 0:
-        return leaf
-    return {
-        "feature": j,
-        "threshold": threshold,
-        "left": _fit_tree(X, g, h, left_idx, depth - 1),
-        "right": _fit_tree(X, g, h, right_idx, depth - 1),
-    }
+    ``rows[j]`` lists the node's rows in ascending order of feature j, ties
+    by row index. Ties in gain go to the first cut within a feature, then
+    to the first feature; a split must beat ``_MIN_GAIN``.
+    """
+    xs = np.take_along_axis(Xt, rows, axis=1)
+    gl = np.cumsum(g[rows], axis=1)[:, :-1]
+    hl = np.cumsum(h[rows], axis=1)[:, :-1]
+    gr = g_sum - gl
+    hr = h_sum - hl
+    gain = (
+        gl * gl / (hl + _SPLIT_LAMBDA)
+        + gr * gr / (hr + _SPLIT_LAMBDA)
+        - g_sum * g_sum / (h_sum + _SPLIT_LAMBDA)
+    )
+    gain = np.where(xs[:, :-1] < xs[:, 1:], gain, -np.inf)
+    pos = gain.argmax(axis=1)
+    best = gain[np.arange(len(pos)), pos]
+    j = int(best.argmax())
+    if not best[j] > _MIN_GAIN:
+        return None
+    return j, float(0.5 * (xs[j, pos[j]] + xs[j, pos[j] + 1]))
 
 
-def _eval_tree(node: dict, X: np.ndarray) -> np.ndarray:
-    out = np.empty(X.shape[0])
-    stack = [(node, np.arange(X.shape[0]))]
-    while stack:
-        current, idx = stack.pop()
-        if "value" in current:
-            out[idx] = current["value"]
-            continue
-        mask = X[idx, current["feature"]] <= current["threshold"]
-        stack.append((current["left"], idx[mask]))
-        stack.append((current["right"], idx[~mask]))
-    return out
+def _grow_tree(
+    Xt: np.ndarray, order: np.ndarray, g: np.ndarray, h: np.ndarray, depth: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Fit one tree level by level on the presorted columns ``order``.
+
+    Returns the heap's feature, threshold and leaf arrays, and the leaf
+    each training row landed in.
+    """
+    n_leaves = 2**depth
+    feature = np.zeros(n_leaves - 1, dtype=np.intp)
+    threshold = np.zeros(n_leaves - 1)
+    leaf = np.empty(n_leaves)
+    row_leaf = np.empty(Xt.shape[1], dtype=np.intp)
+    # A node keeps its rows in index order too, so that its gradient sums
+    # add the same terms in the same order whatever the path to it.
+    level = [(0, np.arange(Xt.shape[1]), order)]
+    for d in range(depth + 1):
+        children = []
+        for node, idx, rows in level:
+            g_sum = float(g[idx].sum())
+            h_sum = float(h[idx].sum())
+            split = _best_split(Xt, rows, g, h, g_sum, h_sum) if d < depth and idx.size >= 2 else None
+            if split is not None:
+                goes_left = Xt[split[0]] <= split[1]
+                mask = goes_left[idx]
+            if split is None or mask.all():
+                span = 2 ** (depth - d)
+                first = (node + 1) * span - n_leaves
+                leaf[first : first + span] = g_sum / (h_sum + _SPLIT_LAMBDA)
+                row_leaf[idx] = first
+                continue
+            feature[node], threshold[node] = split
+            # Boolean selection keeps each feature's order; reshape restores rows.
+            in_left = goes_left[rows]
+            children.append((2 * node + 1, idx[mask], rows[in_left].reshape(len(rows), -1)))
+            children.append((2 * node + 2, idx[~mask], rows[~in_left].reshape(len(rows), -1)))
+        level = children
+    return feature, threshold, leaf, row_leaf
 
 
 def fit_tree_ensemble(
@@ -278,7 +292,8 @@ def fit_tree_ensemble(
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     mean, std = _standardization(X)
-    Xs = (X - mean) / std
+    Xt = np.ascontiguousarray(((X - mean) / std).T)
+    order = np.argsort(Xt, axis=1, kind="stable")
     w_vec = np.where(y == 1.0, weights[1], weights[0])
 
     base_rate = float(np.sum(w_vec * y) / np.sum(w_vec))
@@ -287,38 +302,40 @@ def fit_tree_ensemble(
 
     scores = np.full(X.shape[0], base_score)
     loss = weighted_bce_mean(_sigmoid(scores), y, weights)
-    trees: list[dict] = []
-    all_idx = np.arange(X.shape[0])
+    stages = []
     for _ in range(hyper.n_trees):
         p = _clip_probs(_sigmoid(scores))
         g = w_vec * (y - p)
         h = w_vec * p * (1.0 - p)
-        root = _fit_tree(Xs, g, h, all_idx, hyper.depth)
-        step = _eval_tree(root, Xs)
+        feature, threshold, leaf, row_leaf = _grow_tree(Xt, order, g, h, hyper.depth)
+        step = leaf[row_leaf]
         scale = hyper.lr
-        accepted = False
         for _ in range(10):
             new_loss = weighted_bce_mean(_sigmoid(scores + scale * step), y, weights)
             if not math.isfinite(new_loss):
                 raise Divergence("boosting loss became non-finite")
             if new_loss <= loss:
-                accepted = True
+                stages.append((feature, threshold, leaf, scale))
+                scores = scores + scale * step
+                loss = new_loss
                 break
             scale *= 0.5
-        if not accepted:
-            scale = 0.0
-            new_loss = loss
-        trees.append({"scale": scale, "root": root})
-        if scale != 0.0:
-            scores = scores + scale * step
-        loss = new_loss
 
+    n_nodes = 2**hyper.depth - 1
+    features, thresholds, leaves, scales = zip(*stages) if stages else ((), (), (), ())
     return AcceptanceModel(
         feature_names=tuple(feature_names),
         mean=tuple(float(v) for v in mean),
         std=tuple(float(v) for v in std),
         kind="tree_ensemble",
-        parameters={"base_score": base_score, "trees": trees},
+        parameters={
+            "base_score": base_score,
+            "depth": hyper.depth,
+            "feature": np.array(features, dtype=np.intp).reshape(len(stages), n_nodes),
+            "threshold": np.array(thresholds, dtype=float).reshape(len(stages), n_nodes),
+            "leaf": np.array(leaves, dtype=float).reshape(len(stages), n_nodes + 1),
+            "scale": np.array(scales, dtype=float),
+        },
     )
 
 
@@ -344,7 +361,33 @@ def _coerce_matrix(model: AcceptanceModel, x) -> np.ndarray:
         raise FeatureMismatch(
             f"vector has {arr.shape[1]} features, model expects {len(model.feature_names)}"
         )
+    # A tree sends NaN down the right branch and scores it like any value,
+    # so non-finite input is refused here for every model kind.
+    if not np.isfinite(arr).all():
+        raise FeatureMismatch("vector has non-finite features")
     return arr
+
+
+def _tree_margin(parameters: dict, Xs: np.ndarray) -> np.ndarray:
+    """Ensemble logit: D gathers over all trees, then stages added in order."""
+    feature = parameters["feature"]
+    n_trees, n_nodes = feature.shape
+    n_rows = Xs.shape[0]
+    # Flat positions: node k of tree t is t*n_nodes + k, leaf i is
+    # t*(n_nodes+1) + i, and feature j of row r is r*n_features + j.
+    tree_at = np.arange(n_trees)[:, None] * n_nodes
+    row_at = np.arange(n_rows) * Xs.shape[1]
+    x, features, thresholds = Xs.ravel(), feature.ravel(), parameters["threshold"].ravel()
+    node = np.zeros((n_trees, n_rows), dtype=np.intp)
+    for _ in range(parameters["depth"]):
+        at = tree_at + node
+        node = 2 * node + 2 - (x[row_at + features[at]] <= thresholds[at])
+    leaf = parameters["leaf"].ravel()[tree_at + np.arange(n_trees)[:, None] + node - n_nodes]
+    stages = np.empty((n_trees + 1, n_rows))
+    stages[0] = parameters["base_score"]
+    np.multiply(parameters["scale"][:, None], leaf, out=stages[1:])
+    # cumsum adds stage by stage, as boosting did; a pairwise sum would not.
+    return np.cumsum(stages, axis=0)[-1]
 
 
 def predict_proba_batch(model: AcceptanceModel, X) -> np.ndarray:
@@ -352,10 +395,7 @@ def predict_proba_batch(model: AcceptanceModel, X) -> np.ndarray:
     if model.kind == "logistic":
         z = Xs @ np.asarray(model.parameters["weights"]) + model.parameters["bias"]
     elif model.kind == "tree_ensemble":
-        z = np.full(Xs.shape[0], float(model.parameters["base_score"]))
-        for tree in model.parameters["trees"]:
-            if tree["scale"] != 0.0:
-                z = z + tree["scale"] * _eval_tree(tree["root"], Xs)
+        z = _tree_margin(model.parameters, Xs)
     else:
         raise ModelFormatError(f"unknown model kind {model.kind!r}")
     return _clip_probs(_sigmoid(z))
@@ -375,12 +415,66 @@ def save_model(model: AcceptanceModel, path) -> None:
         "kind": model.kind,
         "feature_names": list(model.feature_names),
         "standardization": {"mean": list(model.mean), "std": list(model.std)},
-        "parameters": model.parameters,
+        "parameters": {
+            key: value.tolist() if isinstance(value, np.ndarray) else value
+            for key, value in model.parameters.items()
+        },
         "tau": model.tau,
     }
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2)
         fh.write("\n")
+
+
+def _table(values, shape: tuple[int, int]) -> np.ndarray:
+    arr = np.asarray(values, dtype=float)
+    # An ensemble with no stages saves each table as [], which reads as shape (0,).
+    if arr.shape != shape and not (arr.size == 0 and 0 in shape):
+        raise ModelFormatError(f"tree table has shape {arr.shape}, expected {shape}")
+    return arr.reshape(shape)
+
+
+def _load_parameters(kind: str, raw: dict, n_features: int) -> dict:
+    """Checked parameters of a model file, trees as numpy arrays."""
+    if kind == "logistic":
+        weights = [float(v) for v in raw["weights"]]
+        bias = float(raw["bias"])
+        if len(weights) != n_features:
+            raise ModelFormatError("weight vector length does not match feature names")
+        if not all(map(math.isfinite, weights + [bias])):
+            raise ModelFormatError("logistic weights or bias are not finite")
+        return {"weights": weights, "bias": bias}
+    if kind != "tree_ensemble":
+        raise ModelFormatError(f"unknown model kind {kind!r}")
+    depth = raw["depth"]
+    # 63 bounds the heap's node count to numpy's index range.
+    if type(depth) is not int or not 0 <= depth < 63:
+        raise ModelFormatError(f"tree depth must be an integer in [0, 63), got {depth!r}")
+    base_score = float(raw["base_score"])
+    scale = np.asarray(raw["scale"], dtype=float)
+    if scale.ndim != 1:
+        raise ModelFormatError(f"tree scales have shape {scale.shape}, expected one per tree")
+    n_trees, n_nodes = len(scale), 2**depth - 1
+    feature = _table(raw["feature"], (n_trees, n_nodes))
+    threshold = _table(raw["threshold"], (n_trees, n_nodes))
+    leaf = _table(raw["leaf"], (n_trees, n_nodes + 1))
+    if not np.all((feature == np.floor(feature)) & (feature >= 0) & (feature < n_features)):
+        raise ModelFormatError(f"tree feature index outside [0, {n_features})")
+    if not (
+        math.isfinite(base_score)
+        and np.isfinite(scale).all()
+        and np.isfinite(threshold).all()
+        and np.isfinite(leaf).all()
+    ):
+        raise ModelFormatError("tree base score, scales, thresholds or leaves are not finite")
+    return {
+        "base_score": base_score,
+        "depth": depth,
+        "feature": feature.astype(np.intp),
+        "threshold": threshold,
+        "leaf": leaf,
+        "scale": scale,
+    }
 
 
 def load_model(path) -> AcceptanceModel:
@@ -398,16 +492,14 @@ def load_model(path) -> AcceptanceModel:
         mean = tuple(float(v) for v in payload["standardization"]["mean"])
         std = tuple(float(v) for v in payload["standardization"]["std"])
         kind = payload["kind"]
-        parameters = payload["parameters"]
         tau = float(payload["tau"])
+        if len(mean) != len(names) or len(std) != len(names):
+            raise ModelFormatError("standardization length does not match feature names")
+        if not all(map(math.isfinite, mean)) or not all(0.0 < s < math.inf for s in std):
+            raise ModelFormatError("standardization has a non-finite mean or a std not in (0, inf)")
+        parameters = _load_parameters(kind, payload["parameters"], len(names))
     except (KeyError, TypeError, ValueError) as exc:
-        raise ModelFormatError(f"model file missing fields: {exc}") from exc
-    if len(mean) != len(names) or len(std) != len(names):
-        raise ModelFormatError("standardization length does not match feature names")
-    if kind == "logistic" and len(parameters.get("weights", ())) != len(names):
-        raise ModelFormatError("weight vector length does not match feature names")
-    if kind not in ("logistic", "tree_ensemble"):
-        raise ModelFormatError(f"unknown model kind {kind!r}")
+        raise ModelFormatError(f"model file missing or malformed fields: {exc}") from exc
     if not 0.0 < tau < 1.0:
         raise ModelFormatError(f"tau must be in (0, 1), got {tau}")
     return AcceptanceModel(

@@ -43,6 +43,10 @@ class TelemetryKind(str, Enum):
     SUGGESTION_REQUESTED = "SuggestionRequested"
     EDIT_APPLIED = "EditApplied"
 
+    # str's C hash, consistent with ``==`` on the value; Enum's default
+    # hashes the name in Python code, once per event in ingest's lookups.
+    __hash__ = str.__hash__
+
 
 class Command(str, Enum):
     UNDO = "Undo"
@@ -232,6 +236,26 @@ def window_start_for(timestamp_ms: int) -> int:
     return (timestamp_ms // WINDOW_MS) * WINDOW_MS
 
 
+#: Integer payload fields per event kind, parsed before the state changes.
+#: A gauge the payload leaves out keeps the window's value.
+_PAYLOAD_COUNTS = {
+    TelemetryKind.TYPING_BURST: lambda p, w: (
+        int(p.get("chars_typed", 0)),
+        int(p.get("duration_ms", 0)),
+    ),
+    TelemetryKind.FILE_NAV: lambda p, w: (
+        int(p.get("open_files", w.open_files)),
+        int(p.get("file_lines", w.file_lines)),
+    ),
+    TelemetryKind.DIAGNOSTIC: lambda p, w: (
+        int(p.get("warnings", 0)),
+        int(p.get("errors", 0)),
+        int(p.get("breakpoints", w.breakpoints)),
+    ),
+    TelemetryKind.EDIT_APPLIED: lambda p, w: (int(p.get("lines_added", 0)),),
+}
+
+
 def _check_passive_expiry(state: SessionState, now_ms: int) -> None:
     # The 30 s timer measures inactivity: it anchors at the shown time and
     # re-anchors on typing/command interaction, not on navigation or
@@ -252,7 +276,9 @@ def ingest_event(
     """Fold one event into the session state, closing windows on minute rollover.
 
     Raises RejectOutOfOrder if the event is older than the session's last
-    activity by more than the tolerance (corrupt stream).
+    activity by more than the tolerance (corrupt stream), and SchemaError if
+    a count in the payload is not a finite number; either way the state is
+    left as it was.
     """
     if event.session_id != state.session_id:
         raise ValueError(
@@ -264,22 +290,29 @@ def ingest_event(
             f"{state.last_activity} by more than {out_of_order_tolerance_ms} ms"
         )
 
+    # A new window joins the state only once the payload has parsed.
     bucket = window_start_for(event.timestamp)
-    if state.open_window is None:
-        state.open_window = _OpenWindow(state.session_id, bucket)
-    elif bucket > state.open_window.window_start:
-        state.closed_windows.append(state.open_window.close())
-        state.open_window = _OpenWindow(state.session_id, bucket)
-
     win = state.open_window
+    if win is None or bucket > win.window_start:
+        win = _OpenWindow(state.session_id, bucket)
     payload = event.payload
     kind = event.kind
+    parse = _PAYLOAD_COUNTS.get(kind)
+    if parse is not None:
+        try:
+            counts = parse(payload, win)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise SchemaError(f"bad {kind.value} payload: {exc}") from exc
 
+    if win is not state.open_window:
+        if state.open_window is not None:
+            state.closed_windows.append(state.open_window.close())
+        state.open_window = win
     _check_passive_expiry(state, event.timestamp)
 
     if kind is TelemetryKind.TYPING_BURST:
-        chars = int(payload.get("chars_typed", 0))
-        duration_s = int(payload.get("duration_ms", 0)) / 1000.0
+        chars, duration_ms = counts
+        duration_s = duration_ms / 1000.0
         win.chars_typed += chars
         win.typing_time_s += duration_s
         state.total_chars += chars
@@ -288,8 +321,7 @@ def ingest_event(
         win.pause_count += 1
     elif kind is TelemetryKind.FILE_NAV:
         win.nav_events += 1
-        win.open_files = int(payload.get("open_files", win.open_files))
-        win.file_lines = int(payload.get("file_lines", win.file_lines))
+        win.open_files, win.file_lines = counts
     elif kind is TelemetryKind.COMMAND_USE:
         command = payload.get("command")
         if command == Command.UNDO.value:
@@ -302,11 +334,9 @@ def ingest_event(
             # PaletteAction, Copy, Paste: generic command surface.
             win.palette_actions += 1
     elif kind is TelemetryKind.DIAGNOSTIC:
-        win.warnings = int(payload.get("warnings", 0))
-        win.errors = int(payload.get("errors", 0))
-        win.breakpoints = int(payload.get("breakpoints", win.breakpoints))
+        win.warnings, win.errors, win.breakpoints = counts
     elif kind is TelemetryKind.EDIT_APPLIED:
-        win.lines_added += int(payload.get("lines_added", 0))
+        win.lines_added += counts[0]
     elif kind is TelemetryKind.SUGGESTION_SHOWN:
         if state.pending_suggestion is not None:
             # A newly shown suggestion supersedes the pending one.

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 import time
 
 import numpy as np
@@ -14,7 +15,7 @@ from suggestgate.gate import (
     select_threshold_from_scores,
     should_trigger,
 )
-from suggestgate.model import AcceptanceModel, fit_logistic
+from suggestgate.model import AcceptanceModel, TreeHyper, fit_logistic, fit_tree_ensemble
 
 
 def _simple_model(d: int = 1) -> AcceptanceModel:
@@ -128,19 +129,56 @@ class TestShouldTrigger:
             expected = Decision.TRIGGER if decision.p_accept > 0.25 else Decision.SUPPRESS
             assert decision.decision is expected
 
+    @pytest.mark.parametrize("kind", ["logistic", "tree_ensemble"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_fail_open_on_non_finite_feature(self, kind, bad):
+        # A tree would score NaN down its right branch and inf like any
+        # large value; neither may suppress silently.
+        X, y = _contract_data(120)
+        model = _fit(kind, X, y, TreeHyper(n_trees=5))
+        values = list(X[0])
+        values[3] = bad
+        decision = should_trigger(model, FeatureVector(values=tuple(values)), 0.1)
+        assert decision.decision is Decision.TRIGGER
+        assert decision.reason is Reason.FAIL_OPEN
+
+    @pytest.mark.parametrize("tau", [0.0, 1.0, 2.0, math.nan])
+    def test_fail_open_on_tau_outside_unit_interval(self, tau):
+        decision = should_trigger(_simple_model(), [3.0], tau)
+        assert decision.decision is Decision.TRIGGER
+        assert decision.reason is Reason.FAIL_OPEN
+
     def test_latency_p50_under_one_millisecond(self):
         # Desk-scale check on the real 22-feature contract.
-        rng = np.random.default_rng(1)
-        X = rng.normal(size=(400, len(FEATURE_NAMES)))
-        y = (X[:, 3] > 0).astype(float)
-        model = fit_logistic(X, y, (1.0, 1.0))
-        vector = FeatureVector(values=tuple(float(v) for v in X[0]))
-        should_trigger(model, vector, 0.1)  # warm up
-        samples = []
-        for _ in range(300):
-            start = time.perf_counter()
-            should_trigger(model, vector, 0.1)
-            samples.append(time.perf_counter() - start)
-        samples.sort()
-        p50 = samples[len(samples) // 2]
+        X, y = _contract_data(400)
+        p50 = _decision_p50_s(fit_logistic(X, y, (1.0, 1.0)), X[0])
         assert p50 < 1e-3, f"p50 decision latency {p50 * 1e3:.3f} ms"
+
+    def test_tree_latency_p50_under_one_millisecond(self):
+        X, y = _contract_data(400)
+        p50 = _decision_p50_s(fit_tree_ensemble(X, y, (1.0, 1.0), TreeHyper()), X[0])
+        assert p50 < 1e-3, f"p50 decision latency {p50 * 1e3:.3f} ms"
+
+
+def _contract_data(n: int):
+    rng = np.random.default_rng(1)
+    X = rng.normal(size=(n, len(FEATURE_NAMES)))
+    return X, (X[:, 3] > 0).astype(float)
+
+
+def _fit(kind: str, X, y, hyper: TreeHyper) -> AcceptanceModel:
+    if kind == "logistic":
+        return fit_logistic(X, y, (1.0, 1.0))
+    return fit_tree_ensemble(X, y, (1.0, 1.0), hyper)
+
+
+def _decision_p50_s(model: AcceptanceModel, x) -> float:
+    vector = FeatureVector(values=tuple(float(v) for v in x))
+    should_trigger(model, vector, 0.1)  # warm up
+    samples = []
+    for _ in range(300):
+        start = time.perf_counter()
+        should_trigger(model, vector, 0.1)
+        samples.append(time.perf_counter() - start)
+    samples.sort()
+    return samples[len(samples) // 2]

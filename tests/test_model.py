@@ -11,7 +11,10 @@ from suggestgate.model import (
     AcceptanceModel,
     LogisticHyper,
     TreeHyper,
+    _clip_probs,
     _logistic_loss_grad,
+    _sigmoid,
+    _tree_margin,
     fit_logistic,
     fit_tree_ensemble,
     load_model,
@@ -23,11 +26,137 @@ from suggestgate.model import (
 )
 
 
+# --- reference trees ----------------------------------------------------
+# The earlier implementation, kept as the oracle for the heap arrays: nested
+# dict trees fitted with a per-node, per-feature argsort and walked node by
+# node. The array fit must reproduce its splits and its scores exactly.
+
+_REF_LAMBDA = 1e-6
+_REF_MIN_GAIN = 1e-12
+
+
+def _reference_fit_tree(X, g, h, idx, depth):
+    g_sum = float(g[idx].sum())
+    h_sum = float(h[idx].sum())
+    leaf = {"value": g_sum / (h_sum + _REF_LAMBDA)}
+    if depth == 0 or idx.size < 2:
+        return leaf
+    base_score = g_sum * g_sum / (h_sum + _REF_LAMBDA)
+    best_gain = _REF_MIN_GAIN
+    best = None
+    for j in range(X.shape[1]):
+        xs = X[idx, j]
+        order = np.argsort(xs, kind="stable")
+        xs_sorted = xs[order]
+        gl = np.cumsum(g[idx][order])[:-1]
+        hl = np.cumsum(h[idx][order])[:-1]
+        valid = xs_sorted[:-1] < xs_sorted[1:]
+        if not valid.any():
+            continue
+        gr = g_sum - gl
+        hr = h_sum - hl
+        gain = gl * gl / (hl + _REF_LAMBDA) + gr * gr / (hr + _REF_LAMBDA) - base_score
+        gain = np.where(valid, gain, -np.inf)
+        pos = int(np.argmax(gain))
+        if gain[pos] > best_gain:
+            best_gain = float(gain[pos])
+            best = (j, float(0.5 * (xs_sorted[pos] + xs_sorted[pos + 1])))
+    if best is None:
+        return leaf
+    j, threshold = best
+    mask = X[idx, j] <= threshold
+    if mask.all() or not mask.any():
+        return leaf
+    return {
+        "feature": j,
+        "threshold": threshold,
+        "left": _reference_fit_tree(X, g, h, idx[mask], depth - 1),
+        "right": _reference_fit_tree(X, g, h, idx[~mask], depth - 1),
+    }
+
+
+def _reference_eval_tree(node, X):
+    out = np.empty(X.shape[0])
+    stack = [(node, np.arange(X.shape[0]))]
+    while stack:
+        current, idx = stack.pop()
+        if "value" in current:
+            out[idx] = current["value"]
+            continue
+        mask = X[idx, current["feature"]] <= current["threshold"]
+        stack.append((current["left"], idx[mask]))
+        stack.append((current["right"], idx[~mask]))
+    return out
+
+
+def _reference_ensemble(X, y, weights, hyper):
+    """Standardized inputs, base score and the (scale, dict tree) stages."""
+    mean, std = X.mean(axis=0), X.std(axis=0)
+    Xs = (X - mean) / np.where(std == 0.0, 1.0, std)
+    w_vec = np.where(y == 1.0, weights[1], weights[0])
+    base_rate = float(np.sum(w_vec * y) / np.sum(w_vec))
+    base_rate = min(max(base_rate, 1e-12), 1.0 - 1e-12)
+    base_score = math.log(base_rate / (1.0 - base_rate))
+    scores = np.full(X.shape[0], base_score)
+    loss = weighted_bce_mean(_sigmoid(scores), y, weights)
+    stages = []
+    for _ in range(hyper.n_trees):
+        p = _clip_probs(_sigmoid(scores))
+        g = w_vec * (y - p)
+        h = w_vec * p * (1.0 - p)
+        root = _reference_fit_tree(Xs, g, h, np.arange(X.shape[0]), hyper.depth)
+        step = _reference_eval_tree(root, Xs)
+        scale = hyper.lr
+        for _ in range(10):
+            new_loss = weighted_bce_mean(_sigmoid(scores + scale * step), y, weights)
+            if new_loss <= loss:
+                stages.append((scale, root))
+                scores = scores + scale * step
+                loss = new_loss
+                break
+            scale *= 0.5
+    return base_score, stages
+
+
+def _reference_predict(base_score, stages, Xs):
+    z = np.full(Xs.shape[0], base_score)
+    for scale, root in stages:
+        z = z + scale * _reference_eval_tree(root, Xs)
+    return _clip_probs(_sigmoid(z))
+
+
+def _heap_splits(root, depth):
+    """(feature, threshold) per split node of a dict tree, padded as in the heap."""
+    feature = np.zeros(2**depth - 1, dtype=np.intp)
+    threshold = np.zeros(2**depth - 1)
+    stack = [(root, 0)]
+    while stack:
+        node, k = stack.pop()
+        if "value" not in node:
+            feature[k], threshold[k] = node["feature"], node["threshold"]
+            stack += [(node["left"], 2 * k + 1), (node["right"], 2 * k + 2)]
+    return feature, threshold
+
+
 def xor_data(n: int, seed: int = 0, noise: float = 0.1):
     rng = np.random.default_rng(seed)
     bits = rng.integers(0, 2, size=(n, 2))
     X = bits + rng.normal(0, noise, size=(n, 2))
     y = (bits[:, 0] ^ bits[:, 1]).astype(float)
+    return X, y
+
+
+def telemetry_like_data(n: int, seed: int = 0):
+    """22 features: continuous, small counts full of ties, and a constant."""
+    rng = np.random.default_rng(seed)
+    X = np.column_stack([
+        rng.normal(size=(n, 10)),
+        rng.poisson(1.5, size=(n, 10)).astype(float),
+        rng.integers(0, 2, size=(n, 1)).astype(float),
+        np.full((n, 1), 3.0),
+    ])
+    logit = X[:, 0] - 0.8 * X[:, 12] + 1.5 * X[:, 20] * X[:, 1] - 1.0
+    y = (rng.random(n) < 1.0 / (1.0 + np.exp(-logit))).astype(float)
     return X, y
 
 
@@ -186,42 +315,74 @@ class TestTreeEnsemble:
         weights = (1.0, 1.0)
         hyper = TreeHyper(n_trees=30, depth=3)
         model = fit_tree_ensemble(X, y, weights, hyper, ["x0", "x1"])
-        # Recompute the staged losses from the serialized trees.
-        from suggestgate.model import _eval_tree, _sigmoid
-
+        # Recompute the staged losses from the stored trees, one stage more
+        # each time.
         Xs = (X - np.asarray(model.mean)) / np.asarray(model.std)
-        scores = np.full(X.shape[0], model.parameters["base_score"])
-        losses = [weighted_bce_mean(_sigmoid(scores), y, weights)]
-        for tree in model.parameters["trees"]:
-            scores = scores + tree["scale"] * _eval_tree(tree["root"], Xs)
-            losses.append(weighted_bce_mean(_sigmoid(scores), y, weights))
+        params = model.parameters
+        losses = []
+        for k in range(len(params["scale"]) + 1):
+            first_k = dict(params, **{key: params[key][:k] for key in ("feature", "threshold", "leaf", "scale")})
+            losses.append(weighted_bce_mean(_sigmoid(_tree_margin(first_k, Xs)), y, weights))
         assert all(b <= a + 1e-12 for a, b in zip(losses, losses[1:]))
 
     def test_hand_built_stump(self):
-        stump = {
-            "feature": 0,
-            "threshold": 0.0,
-            "left": {"value": -2.0},
-            "right": {"value": 1.0},
-        }
+        # One stage, depth 1: x <= 0 goes to leaf -2, x > 0 to leaf 1.
         model = AcceptanceModel(
             feature_names=("x",),
             mean=(0.0,),
             std=(1.0,),
             kind="tree_ensemble",
-            parameters={"base_score": 0.0, "trees": [{"scale": 1.0, "root": stump}]},
+            parameters={
+                "base_score": 0.0,
+                "depth": 1,
+                "feature": np.array([[0]]),
+                "threshold": np.array([[0.0]]),
+                "leaf": np.array([[-2.0, 1.0]]),
+                "scale": np.array([1.0]),
+            },
         )
         low = predict_proba(model, [-1.0])
         high = predict_proba(model, [1.0])
         assert low == pytest.approx(1 / (1 + math.exp(2.0)), rel=1e-12)
         assert high == pytest.approx(1 / (1 + math.exp(-1.0)), rel=1e-12)
+        assert predict_proba(model, [0.0]) == low  # left iff x <= threshold
 
     def test_deterministic(self):
         X, y = xor_data(120, seed=1)
         hyper = TreeHyper(n_trees=10)
         a = fit_tree_ensemble(X, y, (1.0, 1.0), hyper, ["x0", "x1"])
         b = fit_tree_ensemble(X, y, (1.0, 1.0), hyper, ["x0", "x1"])
-        assert a.parameters == b.parameters
+        assert a.parameters.keys() == b.parameters.keys()
+        for key in a.parameters:
+            np.testing.assert_array_equal(a.parameters[key], b.parameters[key])
+
+    @pytest.mark.parametrize(
+        "data, weights, hyper",
+        [
+            (xor_data(200, seed=9), (1.0, 1.0), TreeHyper(n_trees=30, depth=3)),
+            (xor_data(60, seed=2), (0.7, 2.0), TreeHyper(n_trees=15, depth=5)),
+            (telemetry_like_data(300, seed=4), (1.0, 3.0), TreeHyper(n_trees=20, depth=4)),
+        ],
+        ids=["xor", "xor-small-deep", "telemetry-22"],
+    )
+    def test_matches_reference_dict_trees_exactly(self, data, weights, hyper):
+        X, y = data
+        X_probe = np.vstack([X, X[::-1] + 0.05])
+        names = [f"x{j}" for j in range(X.shape[1])]
+        model = fit_tree_ensemble(X, y, weights, hyper, names)
+        base_score, stages = _reference_ensemble(X, y, weights, hyper)
+        params = model.parameters
+        assert params["base_score"] == base_score
+        np.testing.assert_array_equal(params["scale"], [scale for scale, _ in stages])
+        for t, (_, root) in enumerate(stages):
+            feature, threshold = _heap_splits(root, hyper.depth)
+            np.testing.assert_array_equal(params["feature"][t], feature)
+            np.testing.assert_array_equal(params["threshold"][t], threshold)
+        Xs = (X_probe - np.asarray(model.mean)) / np.asarray(model.std)
+        expected = _reference_predict(base_score, stages, Xs)
+        np.testing.assert_array_equal(predict_proba_batch(model, X_probe), expected)
+        rows = [predict_proba(model, x) for x in X_probe[:50]]
+        np.testing.assert_array_equal(rows, expected[:50])
 
 
 class TestPrediction:
@@ -255,12 +416,100 @@ class TestPrediction:
             predict_proba(model, [1.0, 2.0, 3.0])
 
 
+def depth_disagrees(p, _):
+    p["depth"] = 3
+
+
+def depth_not_integer(p, _):
+    p["depth"] = 2.0
+
+
+def depth_negative(p, _):
+    p["depth"] = -1
+
+
+def feature_row_ragged(p, _):
+    p["feature"][0].pop()
+
+
+def leaf_width_wrong(p, _):
+    p["leaf"] = [row[:-1] for row in p["leaf"]]
+
+
+def threshold_transposed(p, _):
+    p["threshold"] = [list(column) for column in zip(*p["threshold"])]
+
+
+def scale_count_wrong(p, _):
+    p["scale"].append(1.0)
+
+
+def feature_fractional(p, _):
+    p["feature"][1][0] = 0.5
+
+
+def feature_negative(p, _):
+    p["feature"][1][0] = -1
+
+
+def feature_out_of_range(p, _):
+    p["feature"][1][0] = 2
+
+
+def threshold_nan(p, _):
+    p["threshold"][0][1] = math.nan
+
+
+def threshold_inf(p, _):
+    p["threshold"][0][0] = math.inf
+
+
+def leaf_nan(p, _):
+    p["leaf"][2][3] = math.nan
+
+
+def scale_inf(p, _):
+    p["scale"][0] = math.inf
+
+
+def base_score_nan(p, _):
+    p["base_score"] = math.nan
+
+
+def weights_nan(p, _):
+    p["weights"][1] = math.nan
+
+
+def bias_inf(p, _):
+    p["bias"] = -math.inf
+
+
+def std_zero(_, payload):
+    payload["standardization"]["std"][0] = 0.0
+
+
+def mean_nan(_, payload):
+    payload["standardization"]["mean"][1] = math.nan
+
+
+_CORRUPTIONS = [
+    ("tree_ensemble", c)
+    for c in (
+        depth_disagrees, depth_not_integer, depth_negative, feature_row_ragged,
+        leaf_width_wrong, threshold_transposed, scale_count_wrong, feature_fractional, feature_negative,
+        feature_out_of_range, threshold_nan, threshold_inf, leaf_nan, scale_inf,
+        base_score_nan, std_zero,
+    )
+] + [("logistic", c) for c in (weights_nan, bias_inf, mean_nan)]
+
+
 class TestSerialization:
     def _models(self):
         X, y = xor_data(100, seed=4)
         names = ["x0", "x1"]
         yield fit_logistic(X, y, (0.8, 1.7), feature_names=names)
         yield fit_tree_ensemble(X, y, (0.8, 1.7), TreeHyper(n_trees=8), names)
+        yield fit_tree_ensemble(X, y, (0.8, 1.7), TreeHyper(n_trees=0), names)
 
     def test_round_trip_predictions_bit_exact(self, tmp_path):
         X_probe, _ = xor_data(50, seed=6)
@@ -297,6 +546,36 @@ class TestSerialization:
         with pytest.raises(ModelFormatError):
             load_model(path)
 
+    def test_refuses_format_1(self, tmp_path):
+        model = next(iter(self._models()))
+        path = tmp_path / "m.json"
+        save_model(model, path)
+        import json
+
+        payload = json.loads(path.read_text())
+        payload["format_version"] = "suggestgate-model/1"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ModelFormatError):
+            load_model(path)
+
+    @pytest.mark.parametrize("kind, corrupt", _CORRUPTIONS, ids=[c.__name__ for _, c in _CORRUPTIONS])
+    def test_corrupt_file_refused(self, tmp_path, kind, corrupt):
+        import json
+
+        X, y = xor_data(100, seed=4)
+        if kind == "logistic":
+            model = fit_logistic(X, y, (1.0, 1.0), feature_names=["x0", "x1"])
+        else:
+            model = fit_tree_ensemble(X, y, (1.0, 1.0), TreeHyper(n_trees=4, depth=2), ["x0", "x1"])
+        path = tmp_path / "m.json"
+        save_model(model, path)
+        payload = json.loads(path.read_text())
+        load_model(path)  # the intact file loads
+        corrupt(payload["parameters"], payload)
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ModelFormatError):
+            load_model(path)
+
     def test_not_json_refusal(self, tmp_path):
         path = tmp_path / "m.json"
         path.write_text("definitely : not json")
@@ -304,4 +583,4 @@ class TestSerialization:
             load_model(path)
 
     def test_format_version_constant(self):
-        assert MODEL_FORMAT_VERSION.endswith("/1")
+        assert MODEL_FORMAT_VERSION.endswith("/2")

@@ -113,6 +113,32 @@ class TestWindowing:
         with pytest.raises(ValueError):
             ingest_event(state, typing(0, session="other"))
 
+    @pytest.mark.parametrize(
+        "kind, payload",
+        [
+            (TelemetryKind.TYPING_BURST, {"chars_typed": float("nan")}),
+            (TelemetryKind.FILE_NAV, {"file_lines": float("inf")}),
+            (TelemetryKind.DIAGNOSTIC, {"errors": "many"}),
+            (TelemetryKind.EDIT_APPLIED, {"lines_added": None}),
+        ],
+    )
+    def test_bad_numeric_payload_leaves_state_unchanged(self, kind, payload):
+        # At 70 s the event would close the first window and passively
+        # reject the suggestion shown at 1 s; a bad payload must do neither.
+        state = SessionState("s1")
+        ingest_event(state, typing(500, chars=9))
+        ingest_event(state, ev(TelemetryKind.SUGGESTION_SHOWN, 1_000, suggestion_id="a"))
+        window = state.open_window
+        before = (window.close(), state.pending_suggestion, state.rejected_count,
+                  state.total_chars, state.last_activity)
+        with pytest.raises(SchemaError):
+            ingest_event(state, ev(kind, 70_000, **payload))
+        assert state.open_window is window
+        assert not state.closed_windows
+        after = (window.close(), state.pending_suggestion, state.rejected_count,
+                 state.total_chars, state.last_activity)
+        assert after == before
+
 
 class TestSessionCounters:
     def test_suggestion_lifecycle_accept(self):
