@@ -2,10 +2,10 @@
 
 Predicts, from content-agnostic editor telemetry alone, whether a developer
 is likely to accept a code suggestion, and gates LLM invocation on that
-prediction. Ships the full pipeline: telemetry ingestion, feature
-engineering, task-complexity estimation, training, threshold tuning,
-evaluation, proportion statistics, session synthesis/replay, and a gate
-service (HTTP and newline-delimited JSON).
+prediction. The package holds the pipeline as a library: telemetry
+ingestion, feature engineering, task-complexity estimation, training,
+threshold tuning and the gate decision, plus the offline tools around it
+(evaluation, proportion statistics and a synthetic session generator).
 """
 
 from .complexity import ComplexityMethod, ComplexityReport, task_complexity

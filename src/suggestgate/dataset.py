@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
@@ -224,25 +223,3 @@ def class_weights(records: Iterable[SuggestionRecord]) -> tuple[float, float]:
         raise SingleClass(f"both classes required, got {n_pos} positive / {n_neg} negative")
     n = n_pos + n_neg
     return n / (2.0 * n_neg), n / (2.0 * n_pos)
-
-
-def write_records_jsonl(records: Iterable[SuggestionRecord], path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for record in records:
-            fh.write(json.dumps(record.to_json_dict(), separators=(",", ":")))
-            fh.write("\n")
-
-
-def read_records_jsonl(path) -> list[SuggestionRecord]:
-    out = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise SchemaError(f"record line is not JSON: {exc}") from exc
-            out.append(SuggestionRecord.from_json_dict(obj))
-    return out

@@ -78,8 +78,4 @@ class InvalidConfig(SuggestGateError):
 
 
 class SchemaError(SuggestGateError):
-    """A log line does not parse as a telemetry event."""
-
-
-class DegenerateReport(SuggestGateError):
-    """Simulation report lacks the counts needed for comparison."""
+    """A log line does not parse as the event, record or label it should hold."""

@@ -19,7 +19,6 @@ EPSILON = 1e-6
 STALE_WINDOW_MS = 120_000
 
 FEATURE_NAMES: tuple[str, ...] = (
-    "typing_speed",
     "total_chars_typed",
     "pause_count",
     "typing_efficiency",
@@ -103,13 +102,12 @@ def build_feature_vector(state: SessionState, complexity: float, at: int) -> Fea
     stale = 1.0 if win is None else 0.0
 
     if win is None:
-        speed = pauses = eff = freq = added = fsize = density = 0.0
+        pauses = eff = freq = added = fsize = density = 0.0
         open_files = undo = quick_fix = terminal = palette = 0.0
         warnings = errors = breakpoints = 0.0
     else:
         pauses = float(win.pause_count)
         eff = typing_efficiency(win.chars_typed, win.typing_time_s)
-        speed = eff  # same definition at window scope
         freq = pause_frequency(win.pause_count, win.typing_time_s)
         added = float(win.lines_added)
         fsize = float(win.file_lines)
@@ -125,7 +123,6 @@ def build_feature_vector(state: SessionState, complexity: float, at: int) -> Fea
 
     return FeatureVector(
         values=(
-            speed,
             float(state.total_chars),
             pauses,
             eff,

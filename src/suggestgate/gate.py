@@ -8,7 +8,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import NoPositives
-from .evaluation import confusion_at
+from .evaluation import _validate_pair, confusion_at
 from .model import AcceptanceModel, predict_proba, predict_proba_batch, split_to_arrays
 
 #: Candidate operating thresholds: 0.01, 0.02, ..., 0.50.
@@ -59,25 +59,20 @@ def select_threshold_from_scores(
     labels = np.asarray(labels, dtype=float)
     if not np.any(labels == 1.0):
         raise NoPositives("threshold selection requires accepted records")
-    best = None
-    for tau in TAU_GRID:
-        report = confusion_at(scores, labels, tau)
-        if report.recall_accepted >= recall_floor:
-            best = (tau, report)
-    if best is None:
-        fallback = confusion_at(scores, labels, TAU_GRID[0])
-        return ThresholdSelection(
-            tau=TAU_GRID[0],
-            recall_accepted=fallback.recall_accepted,
-            precision_accepted=fallback.precision_accepted,
-            satisfied_floor=False,
-        )
-    tau, report = best
+    scores, labels = _validate_pair(scores, labels)
+    positives = scores[labels == 1.0]
+    # Recall at every grid tau from one sort: a positive counts as recalled
+    # iff its score is above tau, which a NaN score never is.
+    missed = np.searchsorted(np.sort(positives), TAU_GRID, side="right")
+    missed += np.count_nonzero(np.isnan(positives))
+    meets = np.flatnonzero((positives.size - missed) / positives.size >= recall_floor)
+    tau = TAU_GRID[meets[-1]] if meets.size else TAU_GRID[0]
+    report = confusion_at(scores, labels, tau)
     return ThresholdSelection(
         tau=tau,
         recall_accepted=report.recall_accepted,
         precision_accepted=report.precision_accepted,
-        satisfied_floor=True,
+        satisfied_floor=bool(meets.size),
     )
 
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -136,13 +136,12 @@ def _logistic_loss_grad(
     w_vec = np.where(y == 1.0, weights[1], weights[0])
     z = X @ theta[:-1] + theta[-1]
     p = _clip_probs(_sigmoid(z))
-    loss = -np.mean(w_vec * (y * np.log(p) + (1.0 - y) * np.log(1.0 - p)))
-    loss += l2 * float(theta[:-1] @ theta[:-1])
+    loss = weighted_bce_mean(p, y, weights) + l2 * float(theta[:-1] @ theta[:-1])
     residual = w_vec * (p - y)
     grad = np.empty_like(theta)
     grad[:-1] = (X.T @ residual) / n + 2.0 * l2 * theta[:-1]
     grad[-1] = residual.mean()
-    return float(loss), grad
+    return loss, grad
 
 
 def fit_logistic(

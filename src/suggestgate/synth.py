@@ -10,22 +10,23 @@ acceptance rate lands on the configured base rate.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .dataset import SuggestionRecord, write_records_jsonl
-from .errors import InvalidConfig
+from .dataset import SuggestionRecord
+from .errors import InvalidConfig, SchemaError
 from .features import FEATURE_NAMES, build_feature_vector
+from .model import _sigmoid
 from .telemetry import (
     SessionState,
     TelemetryEvent,
     TelemetryKind,
     ingest_event,
+    read_jsonl,
     record_outcome,
-    write_events_jsonl,
+    write_jsonl,
 )
 
 FLOW = "flow"
@@ -207,10 +208,6 @@ def _true_logit(config: SynthConfig, values: dict[str, float], bias: float) -> f
     return z
 
 
-def _sigmoid(z: float) -> float:
-    return 0.5 * (1.0 + math.tanh(0.5 * z))
-
-
 def _generate(config: SynthConfig, bias: float) -> SynthResult:
     """One full generation pass at a fixed intercept.
 
@@ -320,7 +317,7 @@ def _generate(config: SynthConfig, bias: float) -> SynthResult:
             meta = request_meta[event.payload["suggestion_id"]]
             complexity = float(event.payload["task_complexity"])
             fv = build_feature_vector(state, complexity, at=event.timestamp)
-            p_true = _sigmoid(_true_logit(config, fv.as_dict(), bias))
+            p_true = float(_sigmoid(_true_logit(config, fv.as_dict(), bias)))
             accepted = meta["outcome_draw"] < p_true
             accepted_total += int(accepted)
             ingest_event(state, event)
@@ -356,11 +353,11 @@ def _generate(config: SynthConfig, bias: float) -> SynthResult:
 
 
 def _solve_bias(z0_values: list[float], target: float) -> float:
+    z0 = np.asarray(z0_values, dtype=float)
     lo, hi = -30.0, 30.0
     for _ in range(80):
         mid = 0.5 * (lo + hi)
-        mean_p = sum(_sigmoid(z + mid) for z in z0_values) / len(z0_values)
-        if mean_p < target:
+        if np.mean(_sigmoid(z0 + mid)) < target:
             lo = mid
         else:
             hi = mid
@@ -390,31 +387,25 @@ def synth_sessions(config: SynthConfig) -> SynthResult:
 
 def ground_truth_scores(config: SynthConfig, records, bias: float) -> np.ndarray:
     """Oracle scorer: the true acceptance probability of each record."""
-    return np.array([
-        _sigmoid(_true_logit(config, dict(zip(FEATURE_NAMES, r.x)), bias))
-        for r in records
-    ])
+    return _sigmoid(np.array([
+        _true_logit(config, dict(zip(FEATURE_NAMES, r.x)), bias) for r in records
+    ]))
 
 
 def write_synth_outputs(result: SynthResult, events_path, labels_path, records_path) -> None:
-    write_events_jsonl(result.events, events_path)
-    with open(labels_path, "w", encoding="utf-8") as fh:
-        for label in result.labels:
-            fh.write(json.dumps(label, separators=(",", ":")))
-            fh.write("\n")
-    write_records_jsonl(result.records, records_path)
+    write_jsonl((event.to_json_dict() for event in result.events), events_path)
+    write_jsonl(result.labels, labels_path)
+    write_jsonl((record.to_json_dict() for record in result.records), records_path)
 
 
 def read_labels_jsonl(path) -> dict[str, bool]:
-    """suggestion_id -> accepted map from a labels file."""
+    """suggestion_id -> accepted map from a labels file; SchemaError per bad line."""
     outcomes: dict[str, bool] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            obj = json.loads(line)
-            outcomes[str(obj["suggestion_id"])] = bool(obj["accepted"])
+    for obj in read_jsonl(path):
+        accepted = obj.get("accepted")
+        if "suggestion_id" not in obj or not isinstance(accepted, bool):
+            raise SchemaError(f"bad label: needs suggestion_id and a boolean accepted, got {obj}")
+        outcomes[str(obj["suggestion_id"])] = accepted
     return outcomes
 
 

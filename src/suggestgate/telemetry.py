@@ -8,7 +8,6 @@ source text, prompts, or identifiers. Windows are wall-clock aligned to
 from __future__ import annotations
 
 import json
-from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Iterator, Optional
@@ -27,9 +26,6 @@ PAUSE_GAP_SECONDS = 2.0
 
 #: Events may arrive at most this far behind the session's last activity.
 OUT_OF_ORDER_TOLERANCE_MS = 5_000
-
-#: Ring-buffer size for closed windows kept per session.
-DEFAULT_WINDOW_BUFFER = 5
 
 
 class TelemetryKind(str, Enum):
@@ -63,15 +59,19 @@ class Label(str, Enum):
     REJECTED_PASSIVE = "RejectedPassive"
 
 
+# Module-level aliases, in definition order, for the comparisons ingest makes on
+# every event: a global lookup costs a fraction of an Enum member access.
+(
+    _TYPING_BURST, _PAUSE, _FILE_NAV, _COMMAND_USE, _DIAGNOSTIC,
+    _SUGGESTION_SHOWN, _SUGGESTION_ACCEPTED, _SUGGESTION_REQUESTED, _EDIT_APPLIED,
+) = TelemetryKind
+_UNDO, _QUICK_FIX, _TERMINAL_TOGGLE = (
+    c.value for c in (Command.UNDO, Command.QUICK_FIX, Command.TERMINAL_TOGGLE)
+)
+
 #: Events that count as developer interaction for the passive-rejection
 #: timer. Navigation and diagnostics do not reset inactivity.
-_ACTIVITY_KINDS = frozenset(
-    {
-        TelemetryKind.TYPING_BURST,
-        TelemetryKind.COMMAND_USE,
-        TelemetryKind.EDIT_APPLIED,
-    }
-)
+_ACTIVITY_KINDS = frozenset({_TYPING_BURST, _COMMAND_USE, _EDIT_APPLIED})
 
 
 @dataclass(frozen=True)
@@ -139,71 +139,36 @@ class BehaviorWindow:
     open_files: int
 
 
+@dataclass(slots=True)
 class _OpenWindow:
     """Mutable accumulator for the window currently being filled."""
 
-    __slots__ = (
-        "session_id",
-        "window_start",
-        "chars_typed",
-        "typing_time_s",
-        "pause_count",
-        "nav_events",
-        "undo_count",
-        "quick_fix_count",
-        "terminal_toggles",
-        "palette_actions",
-        "warnings",
-        "errors",
-        "breakpoints",
-        "lines_added",
-        "file_lines",
-        "open_files",
-    )
-
-    def __init__(self, session_id: str, window_start: int) -> None:
-        self.session_id = session_id
-        self.window_start = window_start
-        self.chars_typed = 0
-        self.typing_time_s = 0.0
-        self.pause_count = 0
-        self.nav_events = 0
-        self.undo_count = 0
-        self.quick_fix_count = 0
-        self.terminal_toggles = 0
-        self.palette_actions = 0
-        self.warnings = 0
-        self.errors = 0
-        self.breakpoints = 0
-        self.lines_added = 0
-        self.file_lines = 0
-        self.open_files = 0
+    session_id: str
+    window_start: int
+    chars_typed: int = 0
+    typing_time_s: float = 0.0
+    pause_count: int = 0
+    nav_events: int = 0
+    undo_count: int = 0
+    quick_fix_count: int = 0
+    terminal_toggles: int = 0
+    palette_actions: int = 0
+    warnings: int = 0
+    errors: int = 0
+    breakpoints: int = 0
+    lines_added: int = 0
+    file_lines: int = 0
+    open_files: int = 0
 
     def close(self) -> BehaviorWindow:
-        return BehaviorWindow(
-            session_id=self.session_id,
-            window_start=self.window_start,
-            duration_s=WINDOW_SECONDS,
-            chars_typed=self.chars_typed,
-            typing_time_s=min(self.typing_time_s, float(WINDOW_SECONDS)),
-            pause_count=self.pause_count,
-            nav_events=self.nav_events,
-            undo_count=self.undo_count,
-            quick_fix_count=self.quick_fix_count,
-            terminal_toggles=self.terminal_toggles,
-            palette_actions=self.palette_actions,
-            warnings=self.warnings,
-            errors=self.errors,
-            breakpoints=self.breakpoints,
-            lines_added=self.lines_added,
-            file_lines=self.file_lines,
-            open_files=self.open_files,
-        )
+        values = {name: getattr(self, name) for name in self.__slots__}
+        values["typing_time_s"] = min(self.typing_time_s, float(WINDOW_SECONDS))
+        return BehaviorWindow(duration_s=WINDOW_SECONDS, **values)
 
 
 @dataclass
 class SessionState:
-    """Accumulated per-session counters plus the window ring buffer.
+    """Accumulated per-session counters plus the last closed window.
 
     Mutated by exactly one writer at a time; snapshots read by the feature
     builder are plain numbers and the most recent closed window, both of
@@ -217,18 +182,13 @@ class SessionState:
     total_chars: int = 0
     suggestions_seen: int = 0
     last_activity: int = 0
-    window_buffer: int = DEFAULT_WINDOW_BUFFER
-    closed_windows: deque = field(default_factory=deque)
+    last_window: Optional[BehaviorWindow] = None
     open_window: Optional[_OpenWindow] = None
     # Unresolved suggestion, if any: (suggestion_id, shown_at_ms, inactivity_anchor_ms).
     pending_suggestion: Optional[tuple] = None
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.closed_windows, deque) or self.closed_windows.maxlen != self.window_buffer:
-            self.closed_windows = deque(self.closed_windows, maxlen=self.window_buffer)
-
     def latest_window(self) -> Optional[BehaviorWindow]:
-        return self.closed_windows[-1] if self.closed_windows else None
+        return self.last_window
 
 
 def window_start_for(timestamp_ms: int) -> int:
@@ -239,20 +199,20 @@ def window_start_for(timestamp_ms: int) -> int:
 #: Integer payload fields per event kind, parsed before the state changes.
 #: A gauge the payload leaves out keeps the window's value.
 _PAYLOAD_COUNTS = {
-    TelemetryKind.TYPING_BURST: lambda p, w: (
+    _TYPING_BURST: lambda p, w: (
         int(p.get("chars_typed", 0)),
         int(p.get("duration_ms", 0)),
     ),
-    TelemetryKind.FILE_NAV: lambda p, w: (
+    _FILE_NAV: lambda p, w: (
         int(p.get("open_files", w.open_files)),
         int(p.get("file_lines", w.file_lines)),
     ),
-    TelemetryKind.DIAGNOSTIC: lambda p, w: (
+    _DIAGNOSTIC: lambda p, w: (
         int(p.get("warnings", 0)),
         int(p.get("errors", 0)),
         int(p.get("breakpoints", w.breakpoints)),
     ),
-    TelemetryKind.EDIT_APPLIED: lambda p, w: (int(p.get("lines_added", 0)),),
+    _EDIT_APPLIED: lambda p, w: (int(p.get("lines_added", 0)),),
 }
 
 
@@ -306,38 +266,38 @@ def ingest_event(
 
     if win is not state.open_window:
         if state.open_window is not None:
-            state.closed_windows.append(state.open_window.close())
+            state.last_window = state.open_window.close()
         state.open_window = win
     _check_passive_expiry(state, event.timestamp)
 
-    if kind is TelemetryKind.TYPING_BURST:
+    if kind is _TYPING_BURST:
         chars, duration_ms = counts
         duration_s = duration_ms / 1000.0
         win.chars_typed += chars
         win.typing_time_s += duration_s
         state.total_chars += chars
         state.total_typing_duration += duration_s
-    elif kind is TelemetryKind.PAUSE:
+    elif kind is _PAUSE:
         win.pause_count += 1
-    elif kind is TelemetryKind.FILE_NAV:
+    elif kind is _FILE_NAV:
         win.nav_events += 1
         win.open_files, win.file_lines = counts
-    elif kind is TelemetryKind.COMMAND_USE:
+    elif kind is _COMMAND_USE:
         command = payload.get("command")
-        if command == Command.UNDO.value:
+        if command == _UNDO:
             win.undo_count += 1
-        elif command == Command.QUICK_FIX.value:
+        elif command == _QUICK_FIX:
             win.quick_fix_count += 1
-        elif command == Command.TERMINAL_TOGGLE.value:
+        elif command == _TERMINAL_TOGGLE:
             win.terminal_toggles += 1
         else:
             # PaletteAction, Copy, Paste: generic command surface.
             win.palette_actions += 1
-    elif kind is TelemetryKind.DIAGNOSTIC:
+    elif kind is _DIAGNOSTIC:
         win.warnings, win.errors, win.breakpoints = counts
-    elif kind is TelemetryKind.EDIT_APPLIED:
+    elif kind is _EDIT_APPLIED:
         win.lines_added += counts[0]
-    elif kind is TelemetryKind.SUGGESTION_SHOWN:
+    elif kind is _SUGGESTION_SHOWN:
         if state.pending_suggestion is not None:
             # A newly shown suggestion supersedes the pending one.
             state.pending_suggestion = None
@@ -348,11 +308,11 @@ def ingest_event(
             event.timestamp,
             event.timestamp,
         )
-    elif kind is TelemetryKind.SUGGESTION_ACCEPTED:
+    elif kind is _SUGGESTION_ACCEPTED:
         if state.pending_suggestion is not None:
             state.pending_suggestion = None
             state.accepted_count += 1
-    elif kind is TelemetryKind.SUGGESTION_REQUESTED:
+    elif kind is _SUGGESTION_REQUESTED:
         if state.pending_suggestion is not None:
             # A fresh request bypasses the pending suggestion.
             state.pending_suggestion = None
@@ -369,8 +329,8 @@ def ingest_event(
 def record_outcome(state: SessionState, accepted: bool) -> None:
     """Register a delivered suggestion's outcome directly.
 
-    Used by the service's ``outcome`` messages and by replay, where the
-    suggestion lifecycle is simulated rather than observed as events.
+    For callers that learn an outcome directly rather than from events,
+    such as a replay that simulates the suggestion lifecycle.
     """
     state.suggestions_seen += 1
     if accepted:
@@ -394,9 +354,9 @@ def label_suggestion(shown_at: int, later_events: Iterable[TelemetryEvent]) -> L
             raise ValueError("later_events must not precede shown_at")
         if event.timestamp - inactivity_start >= PASSIVE_REJECT_MS:
             return Label.REJECTED_PASSIVE
-        if event.kind is TelemetryKind.SUGGESTION_ACCEPTED:
+        if event.kind is _SUGGESTION_ACCEPTED:
             return Label.ACCEPTED
-        if event.kind is TelemetryKind.SUGGESTION_REQUESTED:
+        if event.kind is _SUGGESTION_REQUESTED:
             return Label.REJECTED_EXPLICIT
         if event.kind in _ACTIVITY_KINDS:
             inactivity_start = event.timestamp
@@ -408,28 +368,34 @@ def label_suggestion(shown_at: int, later_events: Iterable[TelemetryEvent]) -> L
     )
 
 
-def write_events_jsonl(events: Iterable[TelemetryEvent], path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for event in events:
-            fh.write(json.dumps(event.to_json_dict(), separators=(",", ":")))
-            fh.write("\n")
-
-
-def read_events_jsonl(path) -> Iterator[TelemetryEvent]:
-    """Yield events from a JSONL log; raises SchemaError per bad line."""
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            yield parse_event_line(line)
-
-
-def parse_event_line(line: str) -> TelemetryEvent:
+def _json_object(line: str) -> dict:
+    """Decode one JSONL line; SchemaError unless it holds a JSON object."""
     try:
         obj = json.loads(line)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"line is not JSON: {exc}") from exc
     if not isinstance(obj, dict):
         raise SchemaError("line is not a JSON object")
-    return TelemetryEvent.from_json_dict(obj)
+    return obj
+
+
+def write_jsonl(dicts: Iterable[dict], path) -> None:
+    """Write one compact JSON object per line."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for obj in dicts:
+            fh.write(json.dumps(obj, separators=(",", ":")))
+            fh.write("\n")
+
+
+def read_jsonl(path) -> Iterator[dict]:
+    """Yield the objects of a JSONL file, skipping blank lines; raises
+    SchemaError at the first line that is not a JSON object."""
+    with open(path, "r", encoding="utf-8") as fh:
+        for line in fh:
+            line = line.strip()
+            if line:
+                yield _json_object(line)
+
+
+def parse_event_line(line: str) -> TelemetryEvent:
+    return TelemetryEvent.from_json_dict(_json_object(line))

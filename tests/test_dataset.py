@@ -4,15 +4,10 @@ import random
 
 import pytest
 
-from suggestgate.dataset import (
-    SuggestionRecord,
-    class_weights,
-    read_records_jsonl,
-    stratified_split,
-    write_records_jsonl,
-)
+from suggestgate.dataset import SuggestionRecord, class_weights, stratified_split
 from suggestgate.errors import SchemaError, SingleClass, TooFewRecords
 from suggestgate.features import N_FEATURES
+from suggestgate.telemetry import read_jsonl, write_jsonl
 
 
 def make_records(n_pos: int, n_neg: int, sessions: int = 8) -> list[SuggestionRecord]:
@@ -43,14 +38,14 @@ class TestSuggestionRecord:
     def test_jsonl_round_trip(self, tmp_path):
         records = make_records(4, 16)
         path = tmp_path / "records.jsonl"
-        write_records_jsonl(records, path)
-        assert read_records_jsonl(path) == records
+        write_jsonl((r.to_json_dict() for r in records), path)
+        assert [SuggestionRecord.from_json_dict(o) for o in read_jsonl(path)] == records
 
     def test_bad_line_raises(self, tmp_path):
         path = tmp_path / "bad.jsonl"
         path.write_text('{"x": [1, 2], "y": 1}\n')
         with pytest.raises(SchemaError):
-            read_records_jsonl(path)
+            [SuggestionRecord.from_json_dict(o) for o in read_jsonl(path)]
 
 
 class TestStratifiedSplit:

@@ -69,8 +69,8 @@ def _typing(t: int, chars: int = 100, duration_ms: int = 20_000) -> TelemetryEve
 
 class TestFeatureVector:
     def test_fixed_order_contract(self):
-        assert len(FEATURE_NAMES) == N_FEATURES == 22
-        assert FEATURE_NAMES[0] == "typing_speed"
+        assert len(FEATURE_NAMES) == N_FEATURES == 21
+        assert FEATURE_NAMES[0] == "total_chars_typed"
         assert FEATURE_NAMES[-1] == "context_stale"
         with pytest.raises(ValueError):
             FeatureVector(values=(0.0,) * 5)
@@ -78,7 +78,7 @@ class TestFeatureVector:
     def test_fresh_session_all_stale(self):
         fv = build_feature_vector(SessionState("s1"), complexity=0.0, at=0)
         assert fv["context_stale"] == 1.0
-        assert fv["typing_speed"] == 0.0
+        assert fv["typing_efficiency"] == 0.0
         assert fv["pause_count"] == 0.0
         assert all(v == v for v in fv.values)  # no NaN
 
@@ -97,7 +97,6 @@ class TestFeatureVector:
         assert fv["file_size"] == 200.0
         assert fv["open_files"] == 2.0
         assert fv["typing_efficiency"] == pytest.approx(120 / 20.000001, rel=1e-9)
-        assert fv["typing_speed"] == fv["typing_efficiency"]
         assert fv["edit_density"] == pytest.approx(6 / 200.000001, rel=1e-9)
         assert fv["task_complexity"] == pytest.approx(0.4)
         assert fv["total_chars_typed"] == 120.0
@@ -111,7 +110,7 @@ class TestFeatureVector:
         at = 60_000 + 180_000
         fv = build_feature_vector(state, complexity=0.0, at=at)
         assert fv["context_stale"] == 1.0
-        assert fv["typing_speed"] == 0.0
+        assert fv["typing_efficiency"] == 0.0
         # Session-cumulative fields survive staleness.
         assert fv["total_chars_typed"] == 100.0
 

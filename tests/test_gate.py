@@ -6,16 +6,26 @@ import time
 import numpy as np
 import pytest
 
-from suggestgate.errors import NoPositives
+from suggestgate.errors import FeatureMismatch, NoPositives
+from suggestgate.evaluation import confusion_at
 from suggestgate.features import FEATURE_NAMES, FeatureVector
 from suggestgate.gate import (
     TAU_GRID,
     Decision,
     Reason,
+    ThresholdSelection,
     select_threshold_from_scores,
     should_trigger,
 )
-from suggestgate.model import AcceptanceModel, TreeHyper, fit_logistic, fit_tree_ensemble
+from suggestgate.model import (
+    AcceptanceModel,
+    TreeHyper,
+    fit_logistic,
+    fit_tree_ensemble,
+    load_model,
+    require_feature_contract,
+    save_model,
+)
 
 
 def _simple_model(d: int = 1) -> AcceptanceModel:
@@ -71,6 +81,38 @@ class TestSelectThreshold:
     def test_no_positives(self):
         with pytest.raises(NoPositives):
             select_threshold_from_scores([0.1, 0.2], [0, 0])
+
+    def test_matches_brute_force_grid_scan(self):
+        # Scores mix uniform draws, exact grid points and values below the
+        # grid; floors include 0.0, 1.0 and unreachable ones.
+        rng = np.random.default_rng(4)
+        grid = np.array(TAU_GRID)
+        fallbacks = 0
+        for case in range(600):
+            n = int(rng.integers(1, 40))
+            pools = (rng.uniform(0.0, 0.6, n), rng.choice(grid, n), rng.uniform(0.0, 0.01, n))
+            scores = np.where(rng.integers(0, 3, n) == 0, pools[0],
+                              np.where(rng.integers(0, 2, n) == 0, pools[1], pools[2]))
+            labels = (rng.random(n) < 0.5).astype(float)
+            labels[rng.integers(0, n)] = 1.0
+            floor = (0.0, 1.0, 0.95, float(rng.random()))[case % 4]
+            expected = _brute_force_selection(scores, labels, floor)
+            assert select_threshold_from_scores(scores, labels, floor) == expected
+            fallbacks += not expected.satisfied_floor
+        assert fallbacks > 0
+
+
+def _brute_force_selection(scores, labels, floor: float) -> ThresholdSelection:
+    """Reference: one confusion_at pass per grid point, keeping the last that
+    meets the floor; 0.01, flagged, when none does."""
+    best = None
+    for tau in TAU_GRID:
+        report = confusion_at(scores, labels, tau)
+        if report.recall_accepted >= floor:
+            best = (tau, report)
+    satisfied = best is not None
+    tau, report = best if satisfied else (TAU_GRID[0], confusion_at(scores, labels, TAU_GRID[0]))
+    return ThresholdSelection(tau, report.recall_accepted, report.precision_accepted, satisfied)
 
 
 class TestShouldTrigger:
@@ -148,8 +190,22 @@ class TestShouldTrigger:
         assert decision.decision is Decision.TRIGGER
         assert decision.reason is Reason.FAIL_OPEN
 
+    def test_model_on_the_old_22_feature_contract_fails_open(self, tmp_path):
+        # Files trained before typing_speed was dropped still load, but the
+        # contract check refuses them and every decision fails open.
+        X, y = _contract_data(120)
+        old_names = ("typing_speed",) + FEATURE_NAMES
+        old = fit_logistic(np.column_stack([X[:, 2], X]), y, (1.0, 1.0), feature_names=old_names)
+        save_model(old, tmp_path / "old.json")
+        loaded = load_model(tmp_path / "old.json")
+        with pytest.raises(FeatureMismatch):
+            require_feature_contract(loaded)
+        decision = should_trigger(loaded, FeatureVector(values=tuple(X[0])), 0.1)
+        assert decision.decision is Decision.TRIGGER
+        assert decision.reason is Reason.FAIL_OPEN
+
     def test_latency_p50_under_one_millisecond(self):
-        # Desk-scale check on the real 22-feature contract.
+        # Desk-scale check on the real feature contract.
         X, y = _contract_data(400)
         p50 = _decision_p50_s(fit_logistic(X, y, (1.0, 1.0)), X[0])
         assert p50 < 1e-3, f"p50 decision latency {p50 * 1e3:.3f} ms"

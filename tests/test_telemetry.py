@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from suggestgate.errors import PendingLabel, RejectOutOfOrder, SchemaError
 from suggestgate.telemetry import (
@@ -11,10 +13,10 @@ from suggestgate.telemetry import (
     ingest_event,
     label_suggestion,
     parse_event_line,
-    read_events_jsonl,
+    read_jsonl,
     record_outcome,
     window_start_for,
-    write_events_jsonl,
+    write_jsonl,
 )
 
 
@@ -24,6 +26,13 @@ def ev(kind: TelemetryKind, t: int, session: str = "s1", **payload) -> Telemetry
 
 def typing(t: int, chars: int = 10, duration_ms: int = 2000, session: str = "s1"):
     return ev(TelemetryKind.TYPING_BURST, t, session, chars_typed=chars, duration_ms=duration_ms)
+
+
+def collect_window(state: SessionState, windows: list) -> None:
+    """Append the state's latest closed window if it is new since the last call."""
+    latest = state.latest_window()
+    if latest is not None and (not windows or latest is not windows[-1]):
+        windows.append(latest)
 
 
 class TestWindowing:
@@ -45,8 +54,7 @@ class TestWindowing:
         state = SessionState("s1")
         ingest_event(state, typing(5_000))
         ingest_event(state, typing(61_000))
-        assert len(state.closed_windows) == 1
-        closed = state.closed_windows[0]
+        closed = state.latest_window()
         assert closed.window_start == 0
         assert closed.duration_s == 60
         assert state.open_window.window_start == 60_000
@@ -55,10 +63,12 @@ class TestWindowing:
         # Every event lands in the window floor(t/60s); summed chars across
         # closed+open windows equal session total.
         times = [0, 59_999, 60_000, 125_000, 125_001, 240_000, 240_100]
-        state = SessionState("s1", window_buffer=100)
+        state = SessionState("s1")
+        windows: list = []
         for t in times:
             ingest_event(state, typing(t, chars=7))
-        windows = list(state.closed_windows) + [state.open_window.close()]
+            collect_window(state, windows)
+        windows.append(state.open_window.close())
         expected_buckets = sorted({window_start_for(t) for t in times})
         assert [w.window_start for w in windows] == expected_buckets
         counted = {w.window_start: w.chars_typed for w in windows}
@@ -66,18 +76,11 @@ class TestWindowing:
             assert counted[window_start_for(t)] > 0
         assert sum(w.chars_typed for w in windows) == state.total_chars == 7 * len(times)
 
-    def test_window_ring_buffer_caps_history(self):
-        state = SessionState("s1", window_buffer=3)
-        for minute in range(6):
-            ingest_event(state, typing(minute * 60_000))
-        assert len(state.closed_windows) == 3
-        assert state.closed_windows[-1].window_start == 4 * 60_000
-
     def test_typing_time_clamped_to_window(self):
         state = SessionState("s1")
         ingest_event(state, typing(0, duration_ms=90_000))
         ingest_event(state, typing(61_000))
-        assert state.closed_windows[0].typing_time_s == 60.0
+        assert state.latest_window().typing_time_s == 60.0
 
     def test_gauges_and_counters(self):
         state = SessionState("s1")
@@ -134,7 +137,7 @@ class TestWindowing:
         with pytest.raises(SchemaError):
             ingest_event(state, ev(kind, 70_000, **payload))
         assert state.open_window is window
-        assert not state.closed_windows
+        assert state.latest_window() is None
         after = (window.close(), state.pending_suggestion, state.rejected_count,
                  state.total_chars, state.last_activity)
         assert after == before
@@ -245,8 +248,8 @@ class TestJsonl:
             ev(TelemetryKind.SUGGESTION_SHOWN, 3_000, suggestion_id="x1"),
         ]
         path = tmp_path / "events.jsonl"
-        write_events_jsonl(events, path)
-        assert list(read_events_jsonl(path)) == events
+        write_jsonl((event.to_json_dict() for event in events), path)
+        assert [TelemetryEvent.from_json_dict(obj) for obj in read_jsonl(path)] == events
 
     def test_unknown_fields_ignored(self):
         event = parse_event_line(
@@ -261,3 +264,73 @@ class TestJsonl:
             parse_event_line('{"session_id":"s1","timestamp":5,"kind":"NoSuchKind"}')
         with pytest.raises(SchemaError):
             parse_event_line('["a","list"]')
+
+    def test_read_jsonl_skips_blank_lines_and_refuses_non_objects(self, tmp_path):
+        path = tmp_path / "mixed.jsonl"
+        path.write_text('{"a":1}\n\n  \n["a","list"]\n')
+        rows = read_jsonl(path)
+        assert next(rows) == {"a": 1}
+        with pytest.raises(SchemaError):
+            next(rows)
+
+
+# One step of a generated stream: a gap in ms, then an event kind (or a
+# delivered outcome) with its numeric payload.
+_COMMANDS = ("Undo", "QuickFix", "TerminalToggle", "PaletteAction", "Copy", "Paste")
+_STEP = st.tuples(
+    st.integers(0, 90_000),
+    st.sampled_from(list(TelemetryKind) + ["outcome"]),
+    st.integers(0, 500),
+    st.integers(0, 30_000),
+    st.sampled_from(_COMMANDS),
+)
+
+
+def _step_event(t: int, kind: TelemetryKind, n: int, ms: int, command: str) -> TelemetryEvent:
+    payload = {
+        TelemetryKind.TYPING_BURST: {"chars_typed": n, "duration_ms": ms},
+        TelemetryKind.FILE_NAV: {"open_files": n % 20, "file_lines": n},
+        TelemetryKind.COMMAND_USE: {"command": command},
+        TelemetryKind.DIAGNOSTIC: {"warnings": n % 7, "errors": n % 3, "breakpoints": n % 2},
+        TelemetryKind.EDIT_APPLIED: {"lines_added": n % 40},
+        TelemetryKind.SUGGESTION_SHOWN: {"suggestion_id": f"s{t}"},
+    }.get(kind, {})
+    return ev(kind, t, **payload)
+
+
+class TestIngestProperties:
+    @settings(max_examples=150, deadline=None)
+    @given(steps=st.lists(_STEP, max_size=120), start=st.integers(0, 10**12))
+    def test_window_sums_conserved_and_outcomes_bounded(self, steps, start):
+        state = SessionState("s1")
+        windows: list = []
+        times = []
+        totals = dict.fromkeys(("chars", "pauses", "nav", "commands", "lines"), 0)
+        t = start
+        for gap, kind, n, ms, command in steps:
+            t += gap
+            if kind == "outcome":
+                record_outcome(state, accepted=n % 2 == 0)
+            else:
+                event = _step_event(t, kind, n, ms, command)
+                ingest_event(state, event)
+                collect_window(state, windows)
+                times.append(t)
+                totals["chars"] += event.payload.get("chars_typed", 0)
+                totals["pauses"] += kind is TelemetryKind.PAUSE
+                totals["nav"] += kind is TelemetryKind.FILE_NAV
+                totals["commands"] += kind is TelemetryKind.COMMAND_USE
+                totals["lines"] += event.payload.get("lines_added", 0)
+            assert state.accepted_count + state.rejected_count <= state.suggestions_seen
+        if state.open_window is not None:
+            windows.append(state.open_window.close())
+
+        assert [w.window_start for w in windows] == sorted({window_start_for(t) for t in times})
+        assert sum(w.chars_typed for w in windows) == totals["chars"] == state.total_chars
+        assert sum(w.pause_count for w in windows) == totals["pauses"]
+        assert sum(w.nav_events for w in windows) == totals["nav"]
+        assert sum(
+            w.undo_count + w.quick_fix_count + w.terminal_toggles + w.palette_actions
+            for w in windows
+        ) == totals["commands"]
+        assert sum(w.lines_added for w in windows) == totals["lines"]
