@@ -19,8 +19,6 @@ from .model import (
     load_model,
     predict_proba,
     save_model,
-    train_logistic,
-    train_tree_ensemble,
 )
 from .telemetry import (
     BehaviorWindow,
@@ -63,6 +61,4 @@ __all__ = [
     "should_trigger",
     "stratified_split",
     "task_complexity",
-    "train_logistic",
-    "train_tree_ensemble",
 ]

@@ -153,11 +153,9 @@ class MetricReport:
     recall_accepted: float
     precision_rejected: float
     recall_rejected: float
-    roc_auc_bootstrap_std: float | None = None
-    pr_auc_bootstrap_std: float | None = None
 
     def to_json_dict(self) -> dict:
-        out = {
+        return {
             "roc_auc": self.roc_auc,
             "pr_auc": self.pr_auc,
             "balanced_accuracy": self.balanced_accuracy,
@@ -174,11 +172,6 @@ class MetricReport:
             "precision_rejected": self.precision_rejected,
             "recall_rejected": self.recall_rejected,
         }
-        if self.roc_auc_bootstrap_std is not None:
-            out["roc_auc_bootstrap_std"] = self.roc_auc_bootstrap_std
-        if self.pr_auc_bootstrap_std is not None:
-            out["pr_auc_bootstrap_std"] = self.pr_auc_bootstrap_std
-        return out
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), indent=2)
@@ -193,19 +186,9 @@ class MetricReport:
         return buf.getvalue()
 
 
-def compute_metric_report(
-    scores,
-    labels,
-    tau: float,
-    bootstrap: int = 0,
-    seed: int = 0,
-) -> MetricReport:
+def compute_metric_report(scores, labels, tau: float) -> MetricReport:
     scores, labels = _validate_pair(scores, labels)
     at_tau = confusion_at(scores, labels, tau)
-    roc_std = pr_std = None
-    if bootstrap > 0:
-        roc_std = bootstrap_std(roc_auc, scores, labels, n_resamples=bootstrap, seed=seed)
-        pr_std = bootstrap_std(pr_auc, scores, labels, n_resamples=bootstrap, seed=seed)
     return MetricReport(
         roc_auc=roc_auc(scores, labels),
         pr_auc=pr_auc(scores, labels),
@@ -219,8 +202,6 @@ def compute_metric_report(
         recall_accepted=at_tau.recall_accepted,
         precision_rejected=at_tau.precision_rejected,
         recall_rejected=at_tau.recall_rejected,
-        roc_auc_bootstrap_std=roc_std,
-        pr_auc_bootstrap_std=pr_std,
     )
 
 

@@ -1,7 +1,9 @@
 """Engineered behavioral ratios and the fixed-order feature vector.
 
 The feature order below is the serialization contract: every trained model
-stores this list and refuses vectors that do not match it.
+stores the list it was trained on. Prediction checks only a vector's length,
+so a caller that loads a model checks the names with
+``model.require_feature_contract``.
 """
 
 from __future__ import annotations
@@ -64,24 +66,24 @@ class FeatureVector:
         return dict(zip(FEATURE_NAMES, self.values))
 
 
-def typing_efficiency(chars_typed: float, typing_time_s: float, eps: float = EPSILON) -> float:
+def typing_efficiency(chars_typed: float, typing_time_s: float) -> float:
     """Characters per second of active typing."""
-    return chars_typed / (typing_time_s + eps)
+    return chars_typed / (typing_time_s + EPSILON)
 
 
-def pause_frequency(pause_count: float, typing_time_s: float, eps: float = EPSILON) -> float:
+def pause_frequency(pause_count: float, typing_time_s: float) -> float:
     """Pauses per second of active typing."""
-    return pause_count / (typing_time_s + eps)
+    return pause_count / (typing_time_s + EPSILON)
 
 
-def acceptance_ratio(accepted: float, rejected: float, eps: float = EPSILON) -> float:
+def acceptance_ratio(accepted: float, rejected: float) -> float:
     """Share of session suggestions accepted so far (the momentum signal)."""
-    return accepted / (accepted + rejected + eps)
+    return accepted / (accepted + rejected + EPSILON)
 
 
-def edit_density(lines_added: float, file_lines: float, eps: float = EPSILON) -> float:
+def edit_density(lines_added: float, file_lines: float) -> float:
     """Lines added relative to the size of the active file."""
-    return lines_added / (file_lines + eps)
+    return lines_added / (file_lines + EPSILON)
 
 
 def _window_for(state: SessionState, at: int) -> Optional[BehaviorWindow]:

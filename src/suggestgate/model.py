@@ -2,19 +2,19 @@
 
 Training is full-batch and deterministic; a trained model is an immutable
 value object that serializes to versioned JSON and refuses to load when the
-format or feature contract does not match.
+format does not match. Loading does not compare the stored feature names
+with ``FEATURE_NAMES``; callers do that with ``require_feature_contract``.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
 
-from .dataset import Split
 from .errors import (
     Divergence,
     FeatureMismatch,
@@ -64,7 +64,6 @@ class LogisticHyper:
     lr: float = 0.5
     epochs: int = 500
     l2: float = 1e-4
-    seed: int = 0
 
 
 @dataclass(frozen=True)
@@ -72,7 +71,6 @@ class TreeHyper:
     n_trees: int = 200
     depth: int = 4
     lr: float = 0.1
-    seed: int = 0
 
 
 @dataclass(frozen=True)
@@ -85,7 +83,6 @@ class AcceptanceModel:
     kind: str  # "logistic" | "tree_ensemble"
     parameters: dict
     tau: float = DEFAULT_TAU
-    version: str = MODEL_FORMAT_VERSION
 
     def __post_init__(self) -> None:
         # Standardization as arrays, built once: every prediction needs them.
@@ -93,15 +90,7 @@ class AcceptanceModel:
         object.__setattr__(self, "_std", np.asarray(self.std, dtype=float))
 
     def with_tau(self, tau: float) -> "AcceptanceModel":
-        return AcceptanceModel(
-            feature_names=self.feature_names,
-            mean=self.mean,
-            std=self.std,
-            kind=self.kind,
-            parameters=self.parameters,
-            tau=tau,
-            version=self.version,
-        )
+        return replace(self, tau=tau)
 
 
 def _standardization(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -184,15 +173,6 @@ def fit_logistic(
             "bias": float(theta[-1]),
         },
     )
-
-
-def train_logistic(
-    split: Split,
-    weights: tuple[float, float],
-    hyper: LogisticHyper = LogisticHyper(),
-) -> AcceptanceModel:
-    X, y = split_to_arrays(split.train)
-    return fit_logistic(X, y, weights, hyper)
 
 
 # --- gradient-boosted trees --------------------------------------------
@@ -338,15 +318,6 @@ def fit_tree_ensemble(
     )
 
 
-def train_tree_ensemble(
-    split: Split,
-    weights: tuple[float, float],
-    hyper: TreeHyper = TreeHyper(),
-) -> AcceptanceModel:
-    X, y = split_to_arrays(split.train)
-    return fit_tree_ensemble(X, y, weights, hyper)
-
-
 # --- prediction --------------------------------------------------------
 
 
@@ -410,7 +381,7 @@ def predict_proba(model: AcceptanceModel, x) -> float:
 
 def save_model(model: AcceptanceModel, path) -> None:
     payload = {
-        "format_version": model.version,
+        "format_version": MODEL_FORMAT_VERSION,
         "kind": model.kind,
         "feature_names": list(model.feature_names),
         "standardization": {"mean": list(model.mean), "std": list(model.std)},
@@ -508,7 +479,6 @@ def load_model(path) -> AcceptanceModel:
         kind=kind,
         parameters=parameters,
         tau=tau,
-        version=payload["format_version"],
     )
 
 

@@ -3,15 +3,18 @@
 A two-state hidden process (flow vs. exploratory) drives per-minute window
 features; every suggestion request samples its outcome from a logistic
 function of the request's true feature vector, so every downstream number
-has an oracle. The generator runs the real telemetry/feature pipeline, and
-its intercept is calibrated by fixed-point iteration so the realized
-acceptance rate lands on the configured base rate.
+has an oracle. The generator runs the real telemetry/feature pipeline. Its
+intercept is re-solved on each of three passes so that the mean true
+probability of the previous pass's requests equals the configured base rate.
+Outcomes feed back into the features (``acceptance_ratio``), so the realized
+rate can miss the target widely: a base rate of 0.18 gives 0.101 at 100
+sessions.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -167,7 +170,9 @@ def xor_variant_config(seed: int = 0, **overrides) -> SynthConfig:
     """Config whose truth is dominated by a non-linear interaction.
 
     Linear weight on the two interacting signals is removed, so a linear
-    model is near chance while trees can recover the pattern.
+    model sees only what the interaction leaks into single features. At 60
+    sessions (seeds 0-5) a fitted logistic model reaches a test ROC-AUC of
+    0.57-0.69, against 0.64-0.72 for the true probabilities.
     """
     ground_truth = (
         GroundTruthTerm("acceptance_ratio", 0.25, 0.18, 0.25),
@@ -368,8 +373,10 @@ def synth_sessions(config: SynthConfig) -> SynthResult:
     """Generate telemetry, ground-truth labels, and training records.
 
     Deterministic given the config seed (byte-identical logs). The
-    intercept is calibrated by three fixed-point rounds so the realized
-    acceptance rate tracks ``base_acceptance``.
+    intercept comes from three fixed-point rounds, each solving for the
+    mean true probability of the previous pass to equal ``base_acceptance``;
+    ``realized_acceptance`` reports the rate reached, which can fall well
+    short of the target.
     """
     config.validate()
     bias = math.log(config.base_acceptance / (1.0 - config.base_acceptance))
@@ -407,40 +414,3 @@ def read_labels_jsonl(path) -> dict[str, bool]:
             raise SchemaError(f"bad label: needs suggestion_id and a boolean accepted, got {obj}")
         outcomes[str(obj["suggestion_id"])] = accepted
     return outcomes
-
-
-def config_to_json_dict(config: SynthConfig) -> dict:
-    out = asdict(config)
-    out["states"] = {name: asdict(p) for name, p in config.states.items()}
-    out["ground_truth"] = [asdict(t) for t in config.ground_truth]
-    return out
-
-
-def config_from_json_dict(obj: dict) -> SynthConfig:
-    base = SynthConfig()
-    try:
-        states = {
-            name: StateProfile(**profile)
-            for name, profile in obj.get("states", config_to_json_dict(base)["states"]).items()
-        }
-        ground_truth = tuple(
-            GroundTruthTerm(**term)
-            for term in obj.get("ground_truth", [asdict(t) for t in base.ground_truth])
-        )
-        config = replace(
-            base,
-            n_sessions=int(obj.get("n_sessions", base.n_sessions)),
-            mean_session_minutes=float(obj.get("mean_session_minutes", base.mean_session_minutes)),
-            requests_per_minute=float(obj.get("requests_per_minute", base.requests_per_minute)),
-            base_acceptance=float(obj.get("base_acceptance", base.base_acceptance)),
-            seed=int(obj.get("seed", base.seed)),
-            transition=obj.get("transition", config_to_json_dict(base)["transition"]),
-            states=states,
-            ground_truth=ground_truth,
-            interaction_boost=float(obj.get("interaction_boost", base.interaction_boost)),
-            start_epoch_ms=int(obj.get("start_epoch_ms", base.start_epoch_ms)),
-        )
-    except (TypeError, ValueError, KeyError) as exc:
-        raise InvalidConfig(f"bad synth config: {exc}") from exc
-    config.validate()
-    return config

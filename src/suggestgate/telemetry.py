@@ -65,6 +65,7 @@ class Label(str, Enum):
     _TYPING_BURST, _PAUSE, _FILE_NAV, _COMMAND_USE, _DIAGNOSTIC,
     _SUGGESTION_SHOWN, _SUGGESTION_ACCEPTED, _SUGGESTION_REQUESTED, _EDIT_APPLIED,
 ) = TelemetryKind
+_ACCEPTED, _REJECTED_EXPLICIT, _REJECTED_PASSIVE = Label
 _UNDO, _QUICK_FIX, _TERMINAL_TOGGLE = (
     c.value for c in (Command.UNDO, Command.QUICK_FIX, Command.TERMINAL_TOGGLE)
 )
@@ -184,8 +185,8 @@ class SessionState:
     last_activity: int = 0
     last_window: Optional[BehaviorWindow] = None
     open_window: Optional[_OpenWindow] = None
-    # Unresolved suggestion, if any: (suggestion_id, shown_at_ms, inactivity_anchor_ms).
-    pending_suggestion: Optional[tuple] = None
+    # Inactivity anchor (ms) of the unresolved suggestion, if any.
+    pending_suggestion: Optional[int] = None
 
     def latest_window(self) -> Optional[BehaviorWindow]:
         return self.last_window
@@ -216,38 +217,39 @@ _PAYLOAD_COUNTS = {
 }
 
 
-def _check_passive_expiry(state: SessionState, now_ms: int) -> None:
-    # The 30 s timer measures inactivity: it anchors at the shown time and
-    # re-anchors on typing/command interaction, not on navigation or
-    # diagnostics. Expiry is detected at the next observed event.
-    if state.pending_suggestion is None:
-        return
-    _, _, anchor = state.pending_suggestion
-    if now_ms - anchor >= PASSIVE_REJECT_MS:
-        state.pending_suggestion = None
-        state.rejected_count += 1
+def _pending_label(anchor: int, kind: TelemetryKind, timestamp: int) -> Optional[Label]:
+    """The label an event gives the pending suggestion, or None if it stays pending.
+
+    The 30 s timer measures inactivity: it anchors at the shown time and
+    re-anchors on typing/command interaction, not on navigation or
+    diagnostics, so expiry is detected at the next observed event. A new
+    request or a newly shown suggestion supersedes the pending one.
+    """
+    if timestamp - anchor >= PASSIVE_REJECT_MS:
+        return _REJECTED_PASSIVE
+    if kind is _SUGGESTION_ACCEPTED:
+        return _ACCEPTED
+    if kind is _SUGGESTION_REQUESTED or kind is _SUGGESTION_SHOWN:
+        return _REJECTED_EXPLICIT
+    return None
 
 
-def ingest_event(
-    state: SessionState,
-    event: TelemetryEvent,
-    out_of_order_tolerance_ms: int = OUT_OF_ORDER_TOLERANCE_MS,
-) -> SessionState:
+def ingest_event(state: SessionState, event: TelemetryEvent) -> SessionState:
     """Fold one event into the session state, closing windows on minute rollover.
 
     Raises RejectOutOfOrder if the event is older than the session's last
-    activity by more than the tolerance (corrupt stream), and SchemaError if
-    a count in the payload is not a finite number; either way the state is
-    left as it was.
+    activity by more than the tolerance (corrupt stream) or falls in a minute
+    before the open window, and SchemaError if a count in the payload is not
+    a finite number; either way the state is left as it was.
     """
     if event.session_id != state.session_id:
         raise ValueError(
             f"event for session {event.session_id!r} fed to state {state.session_id!r}"
         )
-    if event.timestamp < state.last_activity - out_of_order_tolerance_ms:
+    if event.timestamp < state.last_activity - OUT_OF_ORDER_TOLERANCE_MS:
         raise RejectOutOfOrder(
             f"event at {event.timestamp} precedes last activity "
-            f"{state.last_activity} by more than {out_of_order_tolerance_ms} ms"
+            f"{state.last_activity} by more than {OUT_OF_ORDER_TOLERANCE_MS} ms"
         )
 
     # A new window joins the state only once the payload has parsed.
@@ -255,6 +257,10 @@ def ingest_event(
     win = state.open_window
     if win is None or bucket > win.window_start:
         win = _OpenWindow(state.session_id, bucket)
+    elif bucket < win.window_start:
+        raise RejectOutOfOrder(
+            f"event at {event.timestamp} falls before the open window at {win.window_start}"
+        )
     payload = event.payload
     kind = event.kind
     parse = _PAYLOAD_COUNTS.get(kind)
@@ -268,7 +274,18 @@ def ingest_event(
         if state.open_window is not None:
             state.last_window = state.open_window.close()
         state.open_window = win
-    _check_passive_expiry(state, event.timestamp)
+    anchor = state.pending_suggestion
+    if anchor is not None:
+        label = _pending_label(anchor, kind, event.timestamp)
+        if label is None:
+            if kind in _ACTIVITY_KINDS:
+                state.pending_suggestion = event.timestamp
+        else:
+            state.pending_suggestion = None
+            if label is _ACCEPTED:
+                state.accepted_count += 1
+            else:
+                state.rejected_count += 1
 
     if kind is _TYPING_BURST:
         chars, duration_ms = counts
@@ -298,29 +315,8 @@ def ingest_event(
     elif kind is _EDIT_APPLIED:
         win.lines_added += counts[0]
     elif kind is _SUGGESTION_SHOWN:
-        if state.pending_suggestion is not None:
-            # A newly shown suggestion supersedes the pending one.
-            state.pending_suggestion = None
-            state.rejected_count += 1
         state.suggestions_seen += 1
-        state.pending_suggestion = (
-            payload.get("suggestion_id"),
-            event.timestamp,
-            event.timestamp,
-        )
-    elif kind is _SUGGESTION_ACCEPTED:
-        if state.pending_suggestion is not None:
-            state.pending_suggestion = None
-            state.accepted_count += 1
-    elif kind is _SUGGESTION_REQUESTED:
-        if state.pending_suggestion is not None:
-            # A fresh request bypasses the pending suggestion.
-            state.pending_suggestion = None
-            state.rejected_count += 1
-
-    if kind in _ACTIVITY_KINDS and state.pending_suggestion is not None:
-        sid, shown_at, _ = state.pending_suggestion
-        state.pending_suggestion = (sid, shown_at, event.timestamp)
+        state.pending_suggestion = event.timestamp
 
     state.last_activity = max(state.last_activity, event.timestamp)
     return state
@@ -342,30 +338,22 @@ def record_outcome(state: SessionState, accepted: bool) -> None:
 def label_suggestion(shown_at: int, later_events: Iterable[TelemetryEvent]) -> Label:
     """Decide a shown suggestion's terminal label from the events after it.
 
-    Accepted if a SuggestionAccepted arrives before any new
-    SuggestionRequested; explicitly rejected if a new request comes first;
-    passively rejected once 30 s pass without interaction. Raises
-    PendingLabel when the stream ends before any of those conditions.
+    The rule is ingest's (``_pending_label``): accepted if a
+    SuggestionAccepted comes first; explicitly rejected if a new request or
+    a newly shown suggestion comes first; passively rejected once 30 s pass
+    without interaction. Raises PendingLabel when the stream ends before any
+    of those conditions.
     """
-    inactivity_start = shown_at
-    last_seen = shown_at
+    anchor = shown_at
     for event in later_events:
         if event.timestamp < shown_at:
             raise ValueError("later_events must not precede shown_at")
-        if event.timestamp - inactivity_start >= PASSIVE_REJECT_MS:
-            return Label.REJECTED_PASSIVE
-        if event.kind is _SUGGESTION_ACCEPTED:
-            return Label.ACCEPTED
-        if event.kind is _SUGGESTION_REQUESTED:
-            return Label.REJECTED_EXPLICIT
+        label = _pending_label(anchor, event.kind, event.timestamp)
+        if label is not None:
+            return label
         if event.kind in _ACTIVITY_KINDS:
-            inactivity_start = event.timestamp
-        last_seen = event.timestamp
-    if last_seen - inactivity_start >= PASSIVE_REJECT_MS:
-        return Label.REJECTED_PASSIVE
-    raise PendingLabel(
-        f"stream ended {last_seen - shown_at} ms after suggestion; not labelable yet"
-    )
+            anchor = event.timestamp
+    raise PendingLabel(f"stream ended before the suggestion shown at {shown_at} resolved")
 
 
 def _json_object(line: str) -> dict:

@@ -226,15 +226,6 @@ class TestMetricReport:
         assert 0.0 <= report.brier <= 1.0
         assert report.confusion.n == 400
 
-    def test_bootstrap_std_reported_and_labeled(self):
-        rng = np.random.default_rng(2)
-        labels = rng.integers(0, 2, size=150)
-        scores = labels * 0.3 + rng.random(150) * 0.7
-        report = compute_metric_report(scores, labels, tau=0.3, bootstrap=100, seed=3)
-        assert report.roc_auc_bootstrap_std is not None
-        assert report.roc_auc_bootstrap_std > 0.0
-        assert "roc_auc_bootstrap_std" in report.to_json_dict()
-
     def test_csv_emission(self):
         rng = np.random.default_rng(4)
         labels = rng.integers(0, 2, size=60)
@@ -243,6 +234,13 @@ class TestMetricReport:
         lines = csv_text.strip().splitlines()
         assert lines[0] == "metric,value"
         assert any(line.startswith("roc_auc,") for line in lines)
+
+    def test_bootstrap_std_positive_for_both_aucs(self):
+        rng = np.random.default_rng(2)
+        labels = rng.integers(0, 2, size=150)
+        scores = labels * 0.3 + rng.random(150) * 0.7
+        for metric in (roc_auc, pr_auc):
+            assert 0.0 < bootstrap_std(metric, scores, labels, n_resamples=100, seed=3) < 1.0
 
     def test_bootstrap_deterministic(self):
         rng = np.random.default_rng(6)

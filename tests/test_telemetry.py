@@ -1,11 +1,14 @@
 from __future__ import annotations
 
+import copy
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from suggestgate.errors import PendingLabel, RejectOutOfOrder, SchemaError
 from suggestgate.telemetry import (
+    OUT_OF_ORDER_TOLERANCE_MS,
     Label,
     SessionState,
     TelemetryEvent,
@@ -111,6 +114,20 @@ class TestWindowing:
         with pytest.raises(RejectOutOfOrder):
             ingest_event(state, typing(14_000))
 
+    def test_late_event_before_open_window_refused(self):
+        # 659 000 ms is within the tolerance of the last activity, but its
+        # minute closed when the window at 660 000 ms opened.
+        state = SessionState("s1")
+        windows: list = []
+        ingest_event(state, typing(660_500, chars=7))
+        before = copy.deepcopy(state)
+        with pytest.raises(RejectOutOfOrder):
+            ingest_event(state, typing(659_000, chars=5))
+        assert state == before
+        ingest_event(state, typing(780_000))
+        collect_window(state, windows)
+        assert [(w.window_start, w.chars_typed) for w in windows] == [(660_000, 7)]
+
     def test_wrong_session_rejected(self):
         state = SessionState("s1")
         with pytest.raises(ValueError):
@@ -191,6 +208,13 @@ class TestLabeling:
 
     def test_new_request_is_explicit_rejection(self):
         later = [ev(TelemetryKind.SUGGESTION_REQUESTED, 10_000)]
+        assert label_suggestion(0, later) is Label.REJECTED_EXPLICIT
+
+    def test_newly_shown_suggestion_is_explicit_rejection(self):
+        later = [
+            ev(TelemetryKind.SUGGESTION_SHOWN, 5_000, suggestion_id="b"),
+            ev(TelemetryKind.SUGGESTION_ACCEPTED, 6_000, suggestion_id="b"),
+        ]
         assert label_suggestion(0, later) is Label.REJECTED_EXPLICIT
 
     def test_silence_is_passive_rejection(self):
@@ -298,6 +322,23 @@ def _step_event(t: int, kind: TelemetryKind, n: int, ms: int, command: str) -> T
     return ev(kind, t, **payload)
 
 
+def _event_sums(event: TelemetryEvent) -> tuple:
+    """What one event adds to its window: chars, pauses, nav, commands, lines."""
+    kind = event.kind
+    return (
+        event.payload.get("chars_typed", 0),
+        int(kind is TelemetryKind.PAUSE),
+        int(kind is TelemetryKind.FILE_NAV),
+        int(kind is TelemetryKind.COMMAND_USE),
+        event.payload.get("lines_added", 0),
+    )
+
+
+def _window_sums(w) -> tuple:
+    commands = w.undo_count + w.quick_fix_count + w.terminal_toggles + w.palette_actions
+    return (w.chars_typed, w.pause_count, w.nav_events, commands, w.lines_added)
+
+
 class TestIngestProperties:
     @settings(max_examples=150, deadline=None)
     @given(steps=st.lists(_STEP, max_size=120), start=st.integers(0, 10**12))
@@ -334,3 +375,68 @@ class TestIngestProperties:
             for w in windows
         ) == totals["commands"]
         assert sum(w.lines_added for w in windows) == totals["lines"]
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        steps=st.lists(st.tuples(_STEP, st.integers(0, OUT_OF_ORDER_TOLERANCE_MS)), max_size=120),
+        start=st.integers(0, 10**12),
+    )
+    def test_reordering_within_tolerance_counts_each_event_in_its_bucket(self, steps, start):
+        # Each event is delivered up to the tolerance after its timestamp,
+        # so it is never older than the session's last activity by more.
+        # Gaps are shortened so that reordering often crosses a minute.
+        stream = []
+        t = start
+        for (gap, kind, n, ms, command), delay in steps:
+            t += gap // 5
+            if kind != "outcome":
+                stream.append((t + delay, len(stream), _step_event(t, kind, n, ms, command)))
+        state = SessionState("s1")
+        windows: list = []
+        expected: dict = {}
+        for _, _, event in sorted(stream, key=lambda item: item[:2]):
+            before = copy.deepcopy(state)
+            try:
+                ingest_event(state, event)
+            except RejectOutOfOrder:
+                assert state == before
+                continue
+            collect_window(state, windows)
+            bucket = window_start_for(event.timestamp)
+            sums = expected.get(bucket, (0,) * 5)
+            expected[bucket] = tuple(a + b for a, b in zip(sums, _event_sums(event)))
+        if state.open_window is not None:
+            windows.append(state.open_window.close())
+        assert {w.window_start: _window_sums(w) for w in windows} == expected
+
+    @settings(max_examples=150, deadline=None)
+    @given(steps=st.lists(_STEP, max_size=80), start=st.integers(0, 10**12))
+    def test_label_suggestion_agrees_with_ingest(self, steps, start):
+        # Ingest resolves at most one pending suggestion per event; the
+        # counter it moves is that suggestion's outcome.
+        state = SessionState("s1")
+        events: list = []
+        outcome: dict = {}
+        pending = None
+        t = start
+        for gap, kind, n, ms, command in steps:
+            if kind == "outcome":
+                continue
+            t += gap
+            event = _step_event(t, kind, n, ms, command)
+            accepted, rejected = state.accepted_count, state.rejected_count
+            ingest_event(state, event)
+            if (state.accepted_count, state.rejected_count) != (accepted, rejected):
+                outcome[pending] = state.accepted_count > accepted
+            if kind is TelemetryKind.SUGGESTION_SHOWN:
+                pending = len(events)
+            events.append(event)
+        for i, event in enumerate(events):
+            if event.kind is not TelemetryKind.SUGGESTION_SHOWN:
+                continue
+            if i in outcome:
+                label = label_suggestion(event.timestamp, events[i + 1:])
+                assert (label is Label.ACCEPTED) == outcome[i]
+            else:
+                with pytest.raises(PendingLabel):
+                    label_suggestion(event.timestamp, events[i + 1:])
