@@ -1,14 +1,18 @@
 """Per-file Task Complexity: syntax metrics with a keyword/LOC fallback.
 
-Python source goes through a real grammar (stdlib ast + tokenize); any other
-language, or unparseable input, uses language-neutral heuristics. Output is
-aggregate numbers only — no substring of the source ever leaves this module.
+Python source takes the grammar path when ``ast.parse`` accepts it: the
+McCabe count walks that tree, and the Halstead counts come from one regex
+scan of the text built from ``tokenize``'s own token patterns, which yields
+the operator and operand lists ``tokenize`` would. Any other language, or
+Python that ``ast.parse`` rejects, takes the language-neutral heuristics;
+``cyclomatic``, ``halstead`` and ``task_complexity`` share that rule. Output
+is aggregate numbers only — no substring of the source ever leaves this
+module.
 """
 
 from __future__ import annotations
 
 import ast
-import io
 import keyword
 import math
 import re
@@ -58,6 +62,30 @@ _NEUTRAL_TOKEN = re.compile(
 )
 _OPERAND_START = re.compile(r"[A-Za-z_0-9]")
 
+# One Python token per match, from tokenize's patterns in the order tokenize
+# tries them. A triple-quoted string, or a one-line string continued by a
+# backslash, is one match across lines: re.DOTALL lets an escape take a
+# newline, and the one-line forms take a backslash-CRLF whole. Continuations,
+# newlines and comments match no group.
+_PY_TOKEN = re.compile(
+    tokenize.Whitespace
+    + r"(?:\\\r?\n|\r?\n|" + tokenize.Comment
+    + "|(?P<literal>"
+    + tokenize.StringPrefix + "'''" + tokenize.Single3
+    + "|" + tokenize.StringPrefix + '"""' + tokenize.Double3
+    + "|" + tokenize.StringPrefix + r"'[^\n'\\]*(?:(?:\\\r?\n|\\.)[^\n'\\]*)*'"
+    + "|" + tokenize.StringPrefix + r'"[^\n"\\]*(?:(?:\\\r?\n|\\.)[^\n"\\]*)*"'
+    + "|" + tokenize.Number
+    + ")|(?P<special>" + tokenize.Special
+    + ")|(?P<name>" + tokenize.Name + "))",
+    re.DOTALL,
+)
+
+# Node types that add one decision point each.
+_BRANCH_NODES = frozenset(
+    {ast.If, ast.While, ast.For, ast.AsyncFor, ast.IfExp, ast.ExceptHandler, ast.match_case}
+)
+
 
 def _as_text(source) -> str:
     if isinstance(source, bytes):
@@ -75,19 +103,37 @@ def count_loc(source) -> int:
     return sum(1 for line in text.splitlines() if line.strip())
 
 
+def _parse_python(text: str, lang: str) -> ast.Module | None:
+    """The tree of ``text`` when ``lang`` is Python and ``ast.parse`` accepts it."""
+    if not _is_python(lang):
+        return None
+    try:
+        return ast.parse(text)
+    except (SyntaxError, ValueError, MemoryError, RecursionError):
+        return None
+
+
 def _cyclomatic_ast(tree: ast.AST) -> int:
     count = 1
-    for node in ast.walk(tree):
-        if isinstance(node, (ast.If, ast.While, ast.For, ast.AsyncFor, ast.IfExp)):
+    stack = [tree]
+    pop, push = stack.pop, stack.append
+    while stack:
+        node = pop()
+        kind = type(node)
+        if kind in _BRANCH_NODES:
             count += 1
-        elif isinstance(node, ast.ExceptHandler):
-            count += 1
-        elif isinstance(node, ast.BoolOp):
+        elif kind is ast.BoolOp:
             count += len(node.values) - 1
-        elif isinstance(node, ast.comprehension):
+        elif kind is ast.comprehension:
             count += 1 + len(node.ifs)
-        elif isinstance(node, ast.match_case):
-            count += 1
+        for field in node._fields:
+            value = getattr(node, field)
+            if isinstance(value, ast.AST):
+                push(value)
+            elif isinstance(value, list):
+                for item in value:
+                    if isinstance(item, ast.AST):
+                        push(item)
     return count
 
 
@@ -104,12 +150,8 @@ def cyclomatic(source, lang: str = "") -> int:
     parses; otherwise falls back to the decision-keyword count.
     """
     text = _as_text(source)
-    if _is_python(lang):
-        try:
-            return _cyclomatic_ast(ast.parse(text))
-        except (SyntaxError, ValueError, MemoryError, RecursionError):
-            pass
-    return _cyclomatic_keywords(text)
+    tree = _parse_python(text, lang)
+    return _cyclomatic_keywords(text) if tree is None else _cyclomatic_ast(tree)
 
 
 def _halstead_from_counts(
@@ -138,36 +180,40 @@ def _halstead_neutral(text: str) -> tuple[float, float]:
     return _halstead_from_counts(operators, operands)
 
 
-def _halstead_python(text: str) -> tuple[float, float]:
+def _python_tokens(text: str) -> tuple[list[str], list[str]]:
+    """(operators, operands) of Python source that ``ast.parse`` accepts.
+
+    Numbers, strings and names that are not keywords are operands; operator
+    tokens and keywords are operators.
+    """
     operators: list[str] = []
     operands: list[str] = []
-    reader = io.StringIO(text).readline
-    for tok in tokenize.generate_tokens(reader):
-        if tok.type == tokenize.OP:
-            operators.append(tok.string)
-        elif tok.type == tokenize.NAME:
-            if keyword.iskeyword(tok.string):
-                operators.append(tok.string)
+    for match in _PY_TOKEN.finditer(text):
+        group = match.lastgroup
+        if group == "literal":
+            operands.append(match[group])
+        elif group == "special":
+            operators.append(match[group])
+        elif group == "name":
+            name = match[group]
+            if keyword.iskeyword(name):
+                operators.append(name)
             else:
-                operands.append(tok.string)
-        elif tok.type in (tokenize.NUMBER, tokenize.STRING):
-            operands.append(tok.string)
-    return _halstead_from_counts(operators, operands)
+                operands.append(name)
+    return operators, operands
 
 
 def halstead(source, lang: str = "") -> tuple[float, float]:
     """Halstead (volume, effort) from operator/operand counts.
 
     V = (N1+N2)·log2(n1+n2), D = (n1/2)·(N2/n2), E = D·V; both zero when
-    there are no operands.
+    there are no operands. Counts Python tokens when ``lang`` is Python and
+    the source parses; otherwise falls back to the neutral tokenizer.
     """
     text = _as_text(source)
-    if _is_python(lang):
-        try:
-            return _halstead_python(text)
-        except (tokenize.TokenError, SyntaxError, IndentationError, ValueError):
-            pass
-    return _halstead_neutral(text)
+    if _parse_python(text, lang) is None:
+        return _halstead_neutral(text)
+    return _halstead_from_counts(*_python_tokens(text))
 
 
 def maintainability_index(volume: float, cyclomatic_count: int, loc: int) -> float:
@@ -195,17 +241,11 @@ def task_complexity(source, lang: str = "") -> ComplexityReport:
     text = _as_text(source)
     loc = count_loc(text)
 
-    grammar_ok = False
-    if _is_python(lang):
-        try:
-            tree = ast.parse(text)
-            cc = _cyclomatic_ast(tree)
-            volume, effort = _halstead_python(text)
-            grammar_ok = True
-        except (SyntaxError, ValueError, MemoryError, RecursionError,
-                tokenize.TokenError, IndentationError):
-            grammar_ok = False
-    if not grammar_ok:
+    tree = _parse_python(text, lang)
+    if tree is not None:
+        cc = _cyclomatic_ast(tree)
+        volume, effort = _halstead_from_counts(*_python_tokens(text))
+    else:
         cc = _cyclomatic_keywords(text)
         volume = float(loc)
         effort = float(loc)
@@ -223,5 +263,5 @@ def task_complexity(source, lang: str = "") -> ComplexityReport:
         maintainability=mi,
         loc=loc,
         task_complexity=min(1.0, max(0.0, score)),
-        method=ComplexityMethod.GRAMMAR if grammar_ok else ComplexityMethod.HEURISTIC,
+        method=ComplexityMethod.HEURISTIC if tree is None else ComplexityMethod.GRAMMAR,
     )

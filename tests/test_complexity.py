@@ -1,17 +1,176 @@
 from __future__ import annotations
 
+import ast
+import io
+import keyword
 import math
 import random
+import sys
+import sysconfig
+import tokenize
+from pathlib import Path
 
 import pytest
 
 from suggestgate.complexity import (
     ComplexityMethod,
+    _cyclomatic_ast,
+    _python_tokens,
     cyclomatic,
     halstead,
     maintainability_index,
     task_complexity,
 )
+
+
+# --- reference counts ---------------------------------------------------
+# The operator/operand lists as tokenize gives them, and the decision count
+# as an ast.walk gives it: the one-pass scan and the stack walk in
+# complexity.py must return exactly these.
+
+
+def _reference_tokens(text: str) -> tuple[list[str], list[str]]:
+    operators: list[str] = []
+    operands: list[str] = []
+    for tok in tokenize.generate_tokens(io.StringIO(text).readline):
+        if tok.type == tokenize.OP:
+            operators.append(tok.string)
+        elif tok.type == tokenize.NAME:
+            if keyword.iskeyword(tok.string):
+                operators.append(tok.string)
+            else:
+                operands.append(tok.string)
+        elif tok.type in (tokenize.NUMBER, tokenize.STRING):
+            operands.append(tok.string)
+    return operators, operands
+
+
+def _reference_cyclomatic(tree: ast.AST) -> int:
+    count = 1
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.If, ast.While, ast.For, ast.AsyncFor, ast.IfExp)):
+            count += 1
+        elif isinstance(node, ast.ExceptHandler):
+            count += 1
+        elif isinstance(node, ast.BoolOp):
+            count += len(node.values) - 1
+        elif isinstance(node, ast.comprehension):
+            count += 1 + len(node.ifs)
+        elif isinstance(node, ast.match_case):
+            count += 1
+    return count
+
+
+tokenize_keeps_fstrings_whole = pytest.mark.skipif(
+    sys.version_info >= (3, 12),
+    reason="from 3.12 tokenize splits f-strings into parts; requires-python is >=3.10",
+)
+
+# Each parses; each exercises a token rule that a scan can get wrong.
+HAND_WRITTEN = {
+    "crlf": "def f(a):\r\n    return a + 1\r\n",
+    "lone_cr_mid_line": "a = 1\rb = 2\n",
+    "form_feed_and_tabs": "\x0cimport os\n\x0c\nif os:\n\tx = [1,\t2]\n\ty = x\n",
+    "backslash_continuation": "x = 1 + \\\n    2\ny = 3 + \\\r\n    4\r\n",
+    "backslash_crlf_in_single_quotes": "s = 'abc\\\r\ndef' + \"gh\\\r\nij\"\r\n",
+    "triple_quoted_with_prefixes": (
+        'x = rb"""a\n\'\'\' "" \\"""\nb"""\n'
+        "y = f'''{x!r:>10}\n\"quoted\" ''\n'''\n"
+        'z = U"""line\\\nnext"""\n'
+        "w = Br'''\\'''' + b''''q'''\n"
+    ),
+    "nested_quotes": 'a = "it\'s" + \'say "hi"\' + "\\"" + \'#\'  # "a comment"\n',
+    "fstring_format_specs": 'w = 4\nv = f"{w:>{w}}|{w!r:^10}|{{w}}" rf\'{w:#x}\\d\'\n',
+    "numbers": "a = 1_000j\nb = 0x_FF\nc = .5\nd = 5.\ne = 1if a else 2\nf = 1e-3+0o17+0b_1\n",
+    "operators": "def f(x) -> int:\n    if (n := x):\n        x @= n\n    return ...\n",
+    "match_case": (
+        "match p:\n"
+        "    case [x, *_] if x:\n        pass\n"
+        "    case {'k': 1} | None:\n        pass\n"
+        "    case _:\n        match = case = 1\n"
+    ),
+    "decisions": (
+        "async def g(xs):\n"
+        "    async for x in xs:\n"
+        "        try:\n"
+        "            y = [i for i in x if i if not i or i and x]\n"
+        "        except ValueError:\n"
+        "            pass\n"
+        "        while x:\n"
+        "            break\n"
+        "    return {k: v for k, v in xs} if xs else lambda: None\n"
+    ),
+    "no_trailing_newline": "x = (1,\n     2)  # end",
+    "empty": "",
+}
+
+
+def _stdlib_sample() -> list[tuple[str, ast.Module]]:
+    """Every 6th stdlib .py file of at most 32 kB, sorted by path, that parses."""
+    root = Path(sysconfig.get_paths()["stdlib"])
+    paths = sorted(
+        p for p in root.rglob("*.py")
+        if not {"site-packages", "dist-packages"} & set(p.parts) and p.stat().st_size <= 32_000
+    )
+    sample = []
+    for path in paths[::6]:
+        try:
+            text = path.read_text(encoding="utf-8")
+            sample.append((text, ast.parse(text)))
+        except (UnicodeDecodeError, SyntaxError, ValueError):
+            continue
+    return sample
+
+
+@pytest.fixture(scope="module")
+def stdlib_sample() -> list[tuple[str, ast.Module]]:
+    sample = _stdlib_sample()
+    assert len(sample) >= 200
+    return sample
+
+
+# "numbers" holds 1if, which the parser accepts with a warning.
+@pytest.mark.filterwarnings("ignore:invalid decimal literal:SyntaxWarning")
+class TestPythonTokenScan:
+    @tokenize_keeps_fstrings_whole
+    @pytest.mark.parametrize("name", sorted(HAND_WRITTEN))
+    def test_hand_written_matches_tokenize(self, name):
+        source = HAND_WRITTEN[name]
+        ast.parse(source)
+        assert _python_tokens(source) == _reference_tokens(source)
+
+    @tokenize_keeps_fstrings_whole
+    def test_stdlib_sample_matches_tokenize(self, stdlib_sample):
+        for text, _ in stdlib_sample:
+            assert _python_tokens(text) == _reference_tokens(text)
+
+    def test_fstring_is_one_operand(self):
+        source = 'v = f"{w:>{w}}" f"{x!r}"\n'
+        assert _python_tokens(source) == (["="], ["v", 'f"{w:>{w}}"', 'f"{x!r}"'])
+
+    def test_line_after_lone_cr_is_counted(self):
+        # ast.parse ends a line at a lone CR. tokenize does not, and takes the
+        # rest of a physical line that opens with one for blank; the scan
+        # counts the code the parser reads there.
+        source = "x = 1\n\ry = 2\n"
+        assert _python_tokens(source) == (["=", "="], ["x", "1", "y", "2"])
+
+
+@pytest.mark.filterwarnings("ignore:invalid decimal literal:SyntaxWarning")
+class TestCyclomaticWalk:
+    @pytest.mark.parametrize("name", sorted(HAND_WRITTEN))
+    def test_hand_written_matches_ast_walk(self, name):
+        tree = ast.parse(HAND_WRITTEN[name])
+        assert _cyclomatic_ast(tree) == _reference_cyclomatic(tree)
+
+    def test_decisions_hand_count(self):
+        # async for, try handler, while, ternary: 4; the list comprehension's
+        # generator and two ifs: 3; or/and: 2; the dict comprehension: 1.
+        assert _cyclomatic_ast(ast.parse(HAND_WRITTEN["decisions"])) == 1 + 10
+
+    def test_stdlib_sample_matches_ast_walk(self, stdlib_sample):
+        for _, tree in stdlib_sample:
+            assert _cyclomatic_ast(tree) == _reference_cyclomatic(tree)
 
 
 class TestCyclomatic:
@@ -99,6 +258,11 @@ class TestHalstead:
 
     def test_operators_only_is_zero(self):
         assert halstead("+ - * /", "") == (0.0, 0.0)
+
+    def test_unparseable_python_falls_back(self):
+        # tokenize accepts Python 2 print; ast.parse does not.
+        for source in ("print 'hello'\n", "if (x {\n", "def f(:\n    ???"):
+            assert halstead(source, "python") == halstead(source, "unknown")
 
 
 class TestMaintainability:

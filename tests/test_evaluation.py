@@ -88,6 +88,23 @@ class TestRocAuc:
             sk.roc_auc_score(labels, scores), rel=1e-12
         )
 
+    def test_matches_mann_whitney_u(self):
+        # ROC-AUC is U / (n_pos * n_neg), with U the positives' Mann-Whitney
+        # statistic, which credits a tie 0.5.
+        scipy_stats = pytest.importorskip("scipy.stats")
+        rng = np.random.default_rng(5)
+        for _ in range(50):
+            n = int(rng.integers(10, 400))
+            labels = rng.integers(0, 2, size=n)
+            if labels.sum() in (0, n):
+                continue
+            scores = np.round(rng.random(n) + 0.3 * labels, 2)  # rounding forces ties
+            pos, neg = scores[labels == 1], scores[labels == 0]
+            u = scipy_stats.mannwhitneyu(pos, neg).statistic
+            assert roc_auc(scores, labels) == pytest.approx(
+                u / (len(pos) * len(neg)), rel=1e-12
+            )
+
     @given(
         data=st.lists(
             st.tuples(st.floats(0, 1, allow_nan=False), st.integers(0, 1)),
