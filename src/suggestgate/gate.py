@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -91,22 +92,21 @@ def select_threshold(
 def should_trigger(model: AcceptanceModel, x, tau: float) -> GateDecision:
     """Trigger iff the predicted acceptance probability clears tau.
 
-    Fail-open contract: any internal prediction error, a non-finite feature
-    or a tau outside (0, 1) yields Trigger with reason FailOpen rather than
-    surfacing to the caller — a filter bug must never silently block all
-    suggestions.
+    Fail-open contract: any internal prediction error, a non-finite feature,
+    a NaN probability or a tau outside (0, 1) yields Trigger with reason
+    FailOpen rather than surfacing to the caller — a filter bug must never
+    silently block all suggestions.
     """
     try:
         if not 0.0 < tau < 1.0:
             raise ValueError(f"tau must be in (0, 1), got {tau}")
         p = predict_proba(model, x)
     except Exception:
-        return GateDecision(
-            decision=Decision.TRIGGER,
-            p_accept=1.0,
-            tau=tau,
-            reason=Reason.FAIL_OPEN,
-        )
+        p = math.nan
     if p > tau:
         return GateDecision(Decision.TRIGGER, p, tau, Reason.ABOVE_THRESHOLD)
-    return GateDecision(Decision.SUPPRESS, p, tau, Reason.BELOW_THRESHOLD)
+    if p <= tau:
+        return GateDecision(Decision.SUPPRESS, p, tau, Reason.BELOW_THRESHOLD)
+    # NaN compares false both ways: an error, or finite features whose
+    # standardized terms overflow to inf and -inf.
+    return GateDecision(Decision.TRIGGER, 1.0, tau, Reason.FAIL_OPEN)

@@ -88,6 +88,9 @@ class AcceptanceModel:
         # Standardization as arrays, built once: every prediction needs them.
         object.__setattr__(self, "_mean", np.asarray(self.mean, dtype=float))
         object.__setattr__(self, "_std", np.asarray(self.std, dtype=float))
+        object.__setattr__(
+            self, "_logistic", _logistic_parts(self) if self.kind == "logistic" else None
+        )
 
     def with_tau(self, tau: float) -> "AcceptanceModel":
         return replace(self, tau=tau)
@@ -98,6 +101,25 @@ def _standardization(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     std = X.std(axis=0)
     std = np.where(std == 0.0, 1.0, std)
     return mean, std
+
+
+def _logistic_parts(model: AcceptanceModel) -> tuple[np.ndarray, float, tuple] | None:
+    """Weights as an array, bias, and one (mean, std, weight) term per feature.
+
+    None when the parameters do not fit the features, or a std is zero,
+    which Python's float division refuses; predicting with such a model
+    raises ``ModelFormatError``.
+    """
+    try:
+        weights = np.asarray(model.parameters["weights"], dtype=float)
+        bias = float(model.parameters["bias"])
+    except (KeyError, TypeError, ValueError):
+        return None
+    if not weights.shape == model._mean.shape == model._std.shape == (len(model.feature_names),):
+        return None
+    if not model._std.all():
+        return None
+    return weights, bias, tuple(zip(model._mean.tolist(), model._std.tolist(), weights.tolist()))
 
 
 def _standardize(X: np.ndarray, model: AcceptanceModel) -> np.ndarray:
@@ -361,19 +383,50 @@ def _tree_margin(parameters: dict, Xs: np.ndarray) -> np.ndarray:
 
 
 def predict_proba_batch(model: AcceptanceModel, X) -> np.ndarray:
-    Xs = _standardize(_coerce_matrix(model, X), model)
+    X = _coerce_matrix(model, X)
     if model.kind == "logistic":
-        z = Xs @ np.asarray(model.parameters["weights"]) + model.parameters["bias"]
+        if model._logistic is None:
+            raise ModelFormatError("logistic parameters do not fit the standardization")
+        weights, bias, _ = model._logistic
+        z = _standardize(X, model) @ weights + bias
     elif model.kind == "tree_ensemble":
-        z = _tree_margin(model.parameters, Xs)
+        z = _tree_margin(model.parameters, _standardize(X, model))
     else:
         raise ModelFormatError(f"unknown model kind {model.kind!r}")
     return _clip_probs(_sigmoid(z))
 
 
 def predict_proba(model: AcceptanceModel, x) -> float:
-    """Predicted acceptance probability for one feature vector."""
-    return float(predict_proba_batch(model, x)[0])
+    """Predicted acceptance probability for one feature vector.
+
+    A logistic model scores a ``FeatureVector``, a sequence or a 1-D array
+    in plain Python: numpy's per-call overhead on one row costs more than
+    its arithmetic. It makes the same checks as ``predict_proba_batch`` and
+    agrees with it to within the rounding of a differently ordered sum.
+    Tree ensembles and 2-D arrays take the first row of
+    ``predict_proba_batch``. A logistic model's ``parameters`` are read
+    once, when the model is constructed, like ``mean`` and ``std``.
+    """
+    if isinstance(x, FeatureVector):
+        x = x.values
+    elif isinstance(x, np.ndarray) and x.ndim == 1:
+        x = x.tolist()
+    if model._logistic is None or isinstance(x, np.ndarray):
+        return float(predict_proba_batch(model, x)[0])
+    _, bias, terms = model._logistic
+    if len(x) != len(terms):
+        raise FeatureMismatch(f"vector has {len(x)} features, model expects {len(terms)}")
+    z = 0.0
+    for value, (mean, std, weight) in zip(x, terms):
+        z += (value - mean) / std * weight
+    # A non-finite feature makes its term, and so z, non-finite: the features
+    # need checking only then. Finite features whose terms overflow are
+    # scored, as the batch path scores them.
+    if not math.isfinite(z) and not all(map(math.isfinite, x)):
+        raise FeatureMismatch("vector has non-finite features")
+    # np.tanh, not math.tanh, inside _sigmoid: the two differ in the last bit.
+    p = float(_sigmoid(z + bias))
+    return min(max(p, _PROB_CLIP), 1.0 - _PROB_CLIP)
 
 
 # --- serialization -----------------------------------------------------

@@ -6,7 +6,7 @@ import time
 import numpy as np
 import pytest
 
-from suggestgate.errors import FeatureMismatch, NoPositives
+from suggestgate.errors import FeatureMismatch, ModelFormatError, NoPositives
 from suggestgate.evaluation import confusion_at
 from suggestgate.features import FEATURE_NAMES, FeatureVector
 from suggestgate.gate import (
@@ -23,6 +23,7 @@ from suggestgate.model import (
     fit_logistic,
     fit_tree_ensemble,
     load_model,
+    predict_proba,
     require_feature_contract,
     save_model,
 )
@@ -181,6 +182,44 @@ class TestShouldTrigger:
         values = list(X[0])
         values[3] = bad
         decision = should_trigger(model, FeatureVector(values=tuple(values)), 0.1)
+        assert decision.decision is Decision.TRIGGER
+        assert decision.reason is Reason.FAIL_OPEN
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+    @pytest.mark.parametrize("form", [list, lambda v: np.array([v])], ids=["row", "(1, n) array"])
+    def test_fail_open_on_nan_probability(self, form):
+        # Finite features whose standardized terms overflow to +inf and -inf
+        # give z = NaN, so p is NaN on the row and the batch path alike.
+        model = AcceptanceModel(
+            feature_names=("a", "b"),
+            mean=(0.0, 0.0),
+            std=(1e-10, 1e-10),
+            kind="logistic",
+            parameters={"weights": [1.0, 1.0], "bias": 0.0},
+        )
+        x = form([1e308, -1e308])
+        assert math.isnan(predict_proba(model, x))
+        decision = should_trigger(model, x, 0.1)
+        assert decision.decision is Decision.TRIGGER
+        assert decision.reason is Reason.FAIL_OPEN
+
+    @pytest.mark.parametrize(
+        "parameters, std",
+        [
+            ({}, (1.0,)),
+            ({"weights": [1.0]}, (1.0,)),
+            ({"weights": [1.0, 2.0], "bias": 0.0}, (1.0,)),
+            ({"weights": "not numbers", "bias": 0.0}, (1.0,)),
+            ({"weights": [1.0], "bias": 0.0}, (0.0,)),
+        ],
+        ids=["empty", "no_bias", "too_many_weights", "weights_not_numeric", "zero_std"],
+    )
+    def test_fail_open_on_malformed_logistic_parameters(self, parameters, std):
+        # Construction accepts them; every decision then fails open.
+        broken = AcceptanceModel(("x",), (0.0,), std, "logistic", parameters)
+        with pytest.raises(ModelFormatError):
+            predict_proba(broken, [1.0])
+        decision = should_trigger(broken, [1.0], tau=0.10)
         assert decision.decision is Decision.TRIGGER
         assert decision.reason is Reason.FAIL_OPEN
 

@@ -4,10 +4,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from suggestgate.errors import FeatureMismatch, LengthMismatch, ModelFormatError
+from suggestgate.features import N_FEATURES, FeatureVector
 from suggestgate.model import (
     MODEL_FORMAT_VERSION,
+    _PROB_CLIP,
     AcceptanceModel,
     LogisticHyper,
     TreeHyper,
@@ -414,6 +418,93 @@ class TestPrediction:
         )
         with pytest.raises(FeatureMismatch):
             predict_proba(model, [1.0, 2.0, 3.0])
+
+
+# --- one logistic row in plain Python ------------------------------------
+# predict_proba sums a logistic row in feature order; the batch path's BLAS
+# sums in its own order, so the two agree only to within the rounding of a
+# sum: 2(n+1) eps (|bias| + sum |term_i|) on z, times 0.25, the sigmoid's
+# steepest slope, plus 2 eps for the sigmoid's own rounding at two
+# different z.
+
+_EPS = np.finfo(float).eps
+
+_FORMS = {
+    "FeatureVector": lambda v: FeatureVector(values=tuple(v)),
+    "tuple": tuple,
+    "list": list,
+    "1-D array": np.array,
+    "(1, n) array": lambda v: np.array([v]),
+}
+
+
+def _logistic_model(mean, std, weights, bias) -> AcceptanceModel:
+    return AcceptanceModel(
+        feature_names=tuple(f"f{i}" for i in range(len(mean))),
+        mean=tuple(mean),
+        std=tuple(std),
+        kind="logistic",
+        parameters={"weights": list(weights), "bias": bias},
+    )
+
+
+@st.composite
+def _logistic_cases(draw, n):
+    """A model and a finite vector; large weights and tiny stds reach the clip."""
+    def vec(strategy):
+        return draw(st.lists(strategy, min_size=n, max_size=n))
+    mean = vec(st.floats(-1e3, 1e3))
+    std = vec(st.floats(-10.0, 3.0).map(lambda e: 10.0**e))
+    weights = vec(st.floats(-1e6, 1e6) | st.floats(-3.0, 3.0))
+    x = vec(st.floats(-1e4, 1e4) | st.floats(-3.0, 3.0))
+    return _logistic_model(mean, std, weights, draw(st.floats(-50.0, 50.0))), x
+
+
+class TestLogisticRow:
+    @pytest.mark.parametrize("form", _FORMS)
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_row_matches_batch_within_summation_bound(self, form, data):
+        n = N_FEATURES if form == "FeatureVector" else data.draw(st.integers(1, 25))
+        model, x = data.draw(_logistic_cases(n))
+        terms = (np.array(x) - model.mean) / model.std * model.parameters["weights"]
+        bias = model.parameters["bias"]
+        bound = 0.25 * 2 * (n + 1) * _EPS * (abs(bias) + np.abs(terms).sum()) + 2 * _EPS
+        row = predict_proba(model, _FORMS[form](x))
+        batch = predict_proba_batch(model, np.array([x]))[0]
+        assert _PROB_CLIP <= row <= 1.0 - _PROB_CLIP
+        assert abs(row - batch) <= bound
+
+    @pytest.mark.parametrize("form", _FORMS)
+    @pytest.mark.parametrize("n", [N_FEATURES - 1, N_FEATURES + 1])
+    def test_row_refuses_wrong_arity_like_batch(self, form, n):
+        model = _logistic_model([0.0] * n, [1.0] * n, [1.0] * n, 0.0)
+        x = _FORMS[form]([0.5] * N_FEATURES)
+        for predict in (predict_proba, predict_proba_batch):
+            with pytest.raises(FeatureMismatch):
+                predict(model, x)
+
+    @pytest.mark.parametrize("form", _FORMS)
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("weight", [1.0, 0.0])
+    def test_row_refuses_non_finite_like_batch(self, form, bad, weight):
+        n = N_FEATURES
+        model = _logistic_model([0.0] * n, [1.0] * n, [weight] * n, 0.0)
+        values = [0.5] * n
+        values[7] = bad
+        x = _FORMS[form](values)
+        for predict in (predict_proba, predict_proba_batch):
+            with pytest.raises(FeatureMismatch):
+                predict(model, x)
+
+    def test_exact_z_gives_bit_equal_probability(self):
+        # mean 0, std 1, weight 1, bias 0: both paths compute z = x exactly,
+        # so any difference comes from the sigmoid or the clip.
+        model = _logistic_model([0.0], [1.0], [1.0], 0.0)
+        grid = np.concatenate([np.linspace(-40.0, 40.0, 8001), np.geomspace(1e-12, 1.0, 200)])
+        batch = predict_proba_batch(model, grid[:, None])
+        rows = np.array([predict_proba(model, [z]) for z in grid.tolist()])
+        np.testing.assert_array_equal(rows, batch)
 
 
 def depth_disagrees(p, _):
