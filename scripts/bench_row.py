@@ -11,7 +11,9 @@ workload, the seed, the side (``change`` for this checkout, ``parent`` for
 whether its working tree was clean. With ``--parent``, every seed runs on
 both checkouts, alternating which goes first. The file also records the
 machine: cores, CPU model, and the Python, numpy and scipy versions. It is
-rewritten after every run.
+rewritten after every run. A run that exits non-zero stops the script: its
+workload, seed, side, exit code and the tail of its stderr are printed, and
+the script exits 1.
 """
 
 from __future__ import annotations
@@ -80,12 +82,20 @@ def make_row(stdout: str, *, side: str, workload: str, seed: int, identity: dict
             "result": json.loads(lines[-1])}
 
 
-def run_perfbench(checkout: Path, workload: str, seed: int, seconds: float) -> str:
+def run_perfbench(checkout: Path, workload: str, seed: int,
+                  seconds: float) -> subprocess.CompletedProcess:
     return subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds)],
-        cwd=checkout, check=True, capture_output=True, text=True,
-    ).stdout
+        cwd=checkout, capture_output=True, text=True,
+    )
+
+
+def failure_report(run: subprocess.CompletedProcess, *, side: str, workload: str,
+                   seed: int) -> str:
+    """Which run failed, its exit code and the last 20 lines of its stderr."""
+    lines = run.stderr.rstrip().splitlines()[-20:]
+    return "\n".join([f"{workload} seed {seed} {side}: exit code {run.returncode}", *lines])
 
 
 def main(argv=None) -> int:
@@ -108,9 +118,13 @@ def main(argv=None) -> int:
         for i, seed in enumerate(args.seeds):
             order = list(sides) if i % 2 else list(reversed(sides))
             for side in order:
-                stdout = run_perfbench(sides[side], workload, seed, args.seconds)
-                bench["runs"].append(make_row(stdout, side=side, workload=workload, seed=seed,
-                                              identity=identities[side]))
+                run = run_perfbench(sides[side], workload, seed, args.seconds)
+                if run.returncode != 0:
+                    print(failure_report(run, side=side, workload=workload, seed=seed),
+                          file=sys.stderr)
+                    return 1
+                bench["runs"].append(make_row(run.stdout, side=side, workload=workload,
+                                              seed=seed, identity=identities[side]))
                 out.write_text(json.dumps(bench, indent=1) + "\n")
                 print(f"{workload} seed {seed} {side}: done", file=sys.stderr, flush=True)
     return 0

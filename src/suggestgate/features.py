@@ -87,7 +87,7 @@ def edit_density(lines_added: float, file_lines: float) -> float:
 
 
 def _window_for(state: SessionState, at: int) -> Optional[BehaviorWindow]:
-    win = state.latest_window()
+    win = state.last_window
     if win is None or at - win.window_start > STALE_WINDOW_MS:
         return None
     return win

@@ -403,22 +403,29 @@ def predict_proba(model: AcceptanceModel, x) -> float:
     in plain Python: numpy's per-call overhead on one row costs more than
     its arithmetic. It makes the same checks as ``predict_proba_batch`` and
     agrees with it to within the rounding of a differently ordered sum.
-    Tree ensembles and 2-D arrays take the first row of
-    ``predict_proba_batch``. A logistic model's ``parameters`` are read
-    once, when the model is constructed, like ``mean`` and ``std``.
+    Tree ensembles and 2-D arrays go through ``predict_proba_batch``, and
+    more than one row raises ``FeatureMismatch``. A logistic model's
+    ``parameters`` are read once, when the model is constructed, like
+    ``mean`` and ``std``.
     """
     if isinstance(x, FeatureVector):
         x = x.values
     elif isinstance(x, np.ndarray) and x.ndim == 1:
         x = x.tolist()
     if model._logistic is None or isinstance(x, np.ndarray):
-        return float(predict_proba_batch(model, x)[0])
+        probs = predict_proba_batch(model, x)
+        if len(probs) != 1:
+            raise FeatureMismatch(f"expected one vector, got {len(probs)} rows")
+        return float(probs[0])
     _, bias, terms = model._logistic
     if len(x) != len(terms):
         raise FeatureMismatch(f"vector has {len(x)} features, model expects {len(terms)}")
     z = 0.0
-    for value, (mean, std, weight) in zip(x, terms):
-        z += (value - mean) / std * weight
+    try:
+        for value, (mean, std, weight) in zip(x, terms):
+            z += (value - mean) / std * weight
+    except TypeError:
+        raise FeatureMismatch("vector is not one row of numbers") from None
     # A non-finite feature makes its term, and so z, non-finite: the features
     # need checking only then. Finite features whose terms overflow are
     # scored, as the batch path scores them.

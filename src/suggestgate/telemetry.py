@@ -189,6 +189,7 @@ class SessionState:
     pending_suggestion: Optional[int] = None
 
     def latest_window(self) -> Optional[BehaviorWindow]:
+        """``last_window``; perfbench's traced ingest calls this name."""
         return self.last_window
 
 

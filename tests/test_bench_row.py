@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import importlib.util
 import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -37,6 +38,25 @@ class TestMakeRow:
         with pytest.raises(json.JSONDecodeError):
             bench_row.make_row(json.dumps(RESULT) + "\nTraceback", side="change",
                                workload="complexity", seed=1, identity=IDENTITY)
+
+
+class TestFailedRun:
+    def test_failed_run_is_reported_and_exits_non_zero(self, monkeypatch, tmp_path, capsys):
+        stderr = "".join(f"line {i}\n" for i in range(30)) + "ValueError: boom\n"
+
+        def failing_run(checkout, workload, seed, seconds):
+            return subprocess.CompletedProcess(["perfbench/run.py"], 3, stdout="", stderr=stderr)
+
+        monkeypatch.setattr(bench_row, "run_perfbench", failing_run)
+        monkeypatch.setattr(bench_row, "checkout_identity", lambda checkout: IDENTITY)
+        monkeypatch.setattr(bench_row, "ROOT", tmp_path)
+        status = bench_row.main(["--pr", "0", "--workloads", "complexity", "--seeds", "601",
+                                 "--seconds", "1"])
+        report = capsys.readouterr().err.splitlines()
+        assert status == 1
+        assert report[0] == "complexity seed 601 change: exit code 3"
+        assert report[1:] == stderr.splitlines()[-20:]
+        assert not (tmp_path / "BENCH_0.json").exists()
 
 
 class TestCpuModel:

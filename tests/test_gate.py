@@ -136,6 +136,15 @@ class TestShouldTrigger:
         assert decision.decision is Decision.TRIGGER
         assert decision.reason is Reason.FAIL_OPEN
 
+    @pytest.mark.parametrize("kind", ["logistic", "tree_ensemble"])
+    @pytest.mark.parametrize("rows", [np.array, list], ids=["(2, n) array", "nested list"])
+    def test_fail_open_on_several_rows(self, kind, rows):
+        X, y = _contract_data(120)
+        model = _fit(kind, X, y, TreeHyper(n_trees=5))
+        decision = should_trigger(model, rows([list(X[0]), list(X[1])]), tau=0.10)
+        assert decision.decision is Decision.TRIGGER
+        assert decision.reason is Reason.FAIL_OPEN
+
     def test_fail_open_on_corrupt_model(self):
         broken = AcceptanceModel(
             feature_names=("x",),

@@ -389,6 +389,20 @@ class TestTreeEnsemble:
         np.testing.assert_array_equal(rows, expected[:50])
 
 
+def _two_feature_model(kind: str) -> AcceptanceModel:
+    """Logistic z = a + b, or one stump on ``a``: a <= 0 scores -2, else 1."""
+    parameters = {"weights": [1.0, 1.0], "bias": 0.0} if kind == "logistic" else {
+        "base_score": 0.0,
+        "depth": 1,
+        "feature": np.array([[0]]),
+        "threshold": np.array([[0.0]]),
+        "leaf": np.array([[-2.0, 1.0]]),
+        "scale": np.array([1.0]),
+    }
+    return AcceptanceModel(feature_names=("a", "b"), mean=(0.0, 0.0), std=(1.0, 1.0),
+                           kind=kind, parameters=parameters)
+
+
 class TestPrediction:
     def test_probability_open_interval(self):
         X = np.array([[0.0], [1.0]])
@@ -418,6 +432,14 @@ class TestPrediction:
         )
         with pytest.raises(FeatureMismatch):
             predict_proba(model, [1.0, 2.0, 3.0])
+
+    @pytest.mark.parametrize("kind", ["logistic", "tree_ensemble"])
+    @pytest.mark.parametrize("rows", [np.array, list], ids=["(2, n) array", "nested list"])
+    def test_several_rows_raise_feature_mismatch(self, kind, rows):
+        model = _two_feature_model(kind)
+        with pytest.raises(FeatureMismatch):
+            predict_proba(model, rows([[0.0, 0.0], [5.0, 5.0]]))
+        assert predict_proba(model, np.array([[5.0, 5.0]])) == predict_proba(model, [5.0, 5.0])
 
 
 # --- one logistic row in plain Python ------------------------------------

@@ -3,11 +3,16 @@ from __future__ import annotations
 import pytest
 
 from suggestgate.dataset import SuggestionRecord, class_weights, stratified_split
-from suggestgate.errors import SchemaError
+from suggestgate import synth
+from suggestgate.errors import InvalidConfig, SchemaError
 from suggestgate.evaluation import roc_auc
 from suggestgate.model import fit_logistic, fit_tree_ensemble, predict_proba_batch, split_to_arrays
 from suggestgate.synth import (
+    EXPLORATORY,
+    FLOW,
     SynthConfig,
+    _draw,
+    _stream,
     ground_truth_scores,
     read_labels_jsonl,
     synth_sessions,
@@ -82,3 +87,53 @@ class TestGroundTruth:
         for fit in (fit_logistic, fit_tree_ensemble):
             model = fit(X_train, y_train, weights)
             assert oracle >= roc_auc(predict_proba_batch(model, X_test), y_test)
+
+
+def _transition(flow_row: dict) -> dict:
+    return {FLOW: flow_row, EXPLORATORY: {FLOW: 0.25, EXPLORATORY: 0.75}}
+
+
+class TestValidate:
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            ({"n_sessions": 0}, "n_sessions"),
+            ({"mean_session_minutes": 0.5}, "mean_session_minutes"),
+            ({"base_acceptance": 0.0}, "base_acceptance"),
+            ({"base_acceptance": 1.0}, "base_acceptance"),
+            ({"requests_per_minute": 0.0}, "requests_per_minute"),
+            ({"requests_per_minute": -1.0}, "requests_per_minute"),
+            ({"transition": {FLOW: {FLOW: 1.0}}}, "do not match"),
+            ({"transition": _transition({FLOW: 1.0})}, "misses states"),
+            ({"transition": _transition({FLOW: 1.2, EXPLORATORY: -0.2})}, "outside"),
+            ({"transition": _transition({FLOW: 0.5, EXPLORATORY: 0.4})}, "sum to 1"),
+        ],
+    )
+    def test_refusal(self, overrides, message):
+        with pytest.raises(InvalidConfig, match=message):
+            synth_sessions(SynthConfig(**overrides))
+
+    def test_no_requests_is_refused_before_any_stream_pass(self, monkeypatch):
+        monkeypatch.setattr(synth, "_stream", lambda *args: pytest.fail("streamed"))
+        with pytest.raises(InvalidConfig, match="no suggestion requests"):
+            synth_sessions(SynthConfig(n_sessions=1, requests_per_minute=1e-12))
+
+
+class TestCalibration:
+    @pytest.mark.parametrize("base", [0.18, 0.3])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_realized_rate_meets_the_base_rate(self, base, seed):
+        result = synth_sessions(SynthConfig(n_sessions=100, seed=seed, base_acceptance=base))
+        assert abs(result.realized_acceptance - base) <= 0.005
+
+    def test_stream_passes_share_the_draw_and_a_higher_bias_only_adds_accepts(self):
+        # Bisection on the bias needs the accepted set to grow with it.
+        config = SynthConfig(n_sessions=30, seed=3)
+        draw = _draw(config)
+        results = [_stream(config, draw, bias) for bias in (-4.0, -3.0, -2.5, -2.0, -1.0)]
+        accepted = [{label["suggestion_id"] for label in r.labels if label["accepted"]}
+                    for r in results]
+        for lower, higher in zip(results, results[1:]):
+            assert lower.events == higher.events
+        for lower, higher in zip(accepted, accepted[1:]):
+            assert lower < higher

@@ -33,7 +33,7 @@ def typing(t: int, chars: int = 10, duration_ms: int = 2000, session: str = "s1"
 
 def collect_window(state: SessionState, windows: list) -> None:
     """Append the state's latest closed window if it is new since the last call."""
-    latest = state.latest_window()
+    latest = state.last_window
     if latest is not None and (not windows or latest is not windows[-1]):
         windows.append(latest)
 
@@ -57,7 +57,7 @@ class TestWindowing:
         state = SessionState("s1")
         ingest_event(state, typing(5_000))
         ingest_event(state, typing(61_000))
-        closed = state.latest_window()
+        closed = state.last_window
         assert closed.window_start == 0
         assert closed.duration_s == 60
         assert state.open_window.window_start == 60_000
@@ -83,7 +83,7 @@ class TestWindowing:
         state = SessionState("s1")
         ingest_event(state, typing(0, duration_ms=90_000))
         ingest_event(state, typing(61_000))
-        assert state.latest_window().typing_time_s == 60.0
+        assert state.last_window.typing_time_s == 60.0
 
     def test_gauges_and_counters(self):
         state = SessionState("s1")
@@ -154,7 +154,7 @@ class TestWindowing:
         with pytest.raises(SchemaError):
             ingest_event(state, ev(kind, 70_000, **payload))
         assert state.open_window is window
-        assert state.latest_window() is None
+        assert state.last_window is None
         after = (window.close(), state.pending_suggestion, state.rejected_count,
                  state.total_chars, state.last_activity)
         assert after == before
