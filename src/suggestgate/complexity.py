@@ -4,10 +4,10 @@ Python source takes the grammar path when ``ast.parse`` accepts it: the
 McCabe count walks that tree, and the Halstead counts come from one regex
 scan of the text built from ``tokenize``'s own token patterns, which yields
 the operator and operand lists ``tokenize`` would. Any other language, or
-Python that ``ast.parse`` rejects, takes the language-neutral heuristics;
-``cyclomatic``, ``halstead`` and ``task_complexity`` share that rule. Output
-is aggregate numbers only — no substring of the source ever leaves this
-module.
+Python that ``ast.parse`` rejects, takes the language-neutral heuristics:
+decision keywords for the path count and the line count for the effort.
+``task_complexity`` is the one entry point. Output is aggregate numbers
+only — no substring of the source ever leaves this module.
 """
 
 from __future__ import annotations
@@ -36,31 +36,11 @@ class ComplexityReport:
     task_complexity: float
     method: ComplexityMethod
 
-    def to_json_dict(self) -> dict:
-        return {
-            "cyclomatic": self.cyclomatic,
-            "halstead_volume": self.halstead_volume,
-            "halstead_effort": self.halstead_effort,
-            "maintainability": self.maintainability,
-            "loc": self.loc,
-            "task_complexity": self.task_complexity,
-            "method": self.method.value,
-        }
-
 
 _PYTHON_LANGS = frozenset({"python", "py", "python3"})
 
 # Decision keywords for the fallback cyclomatic count.
 _DECISION_KEYWORDS = re.compile(r"\b(?:if|for|while|case|catch)\b")
-
-# Neutral tokenizer: identifiers/literals are operands, punctuation runs
-# are operators.
-_NEUTRAL_TOKEN = re.compile(
-    r"[A-Za-z_][A-Za-z0-9_]*"
-    r"|\d+(?:\.\d+)?(?:[eE][+-]?\d+)?"
-    r"|[^\sA-Za-z0-9_]+"
-)
-_OPERAND_START = re.compile(r"[A-Za-z_0-9]")
 
 # One Python token per match, from tokenize's patterns in the order tokenize
 # tries them. A triple-quoted string, or a one-line string continued by a
@@ -143,41 +123,23 @@ def _cyclomatic_keywords(text: str) -> int:
     return count
 
 
-def cyclomatic(source, lang: str = "") -> int:
-    """1 + decision points (branch, loop, case arm, catch, short-circuit, ternary).
-
-    Counts via the Python grammar when ``lang`` is Python and the source
-    parses; otherwise falls back to the decision-keyword count.
-    """
-    text = _as_text(source)
-    tree = _parse_python(text, lang)
-    return _cyclomatic_keywords(text) if tree is None else _cyclomatic_ast(tree)
-
-
 def _halstead_from_counts(
     operators: list[str], operands: list[str]
 ) -> tuple[float, float]:
+    """Halstead (volume, effort) from operator/operand counts.
+
+    V = (N1+N2)·log2(n1+n2), D = (n1/2)·(N2/n2), E = D·V; both zero when
+    there are no operands.
+    """
     n1 = len(set(operators))
     n2 = len(set(operands))
     big_n1 = len(operators)
     big_n2 = len(operands)
     if n2 == 0:
         return 0.0, 0.0
-    vocabulary = n1 + n2
-    volume = (big_n1 + big_n2) * math.log2(vocabulary) if vocabulary > 0 else 0.0
+    volume = (big_n1 + big_n2) * math.log2(n1 + n2)
     difficulty = (n1 / 2.0) * (big_n2 / n2)
     return volume, difficulty * volume
-
-
-def _halstead_neutral(text: str) -> tuple[float, float]:
-    operators: list[str] = []
-    operands: list[str] = []
-    for token in _NEUTRAL_TOKEN.findall(text):
-        if _OPERAND_START.match(token):
-            operands.append(token)
-        else:
-            operators.append(token)
-    return _halstead_from_counts(operators, operands)
 
 
 def _python_tokens(text: str) -> tuple[list[str], list[str]]:
@@ -201,19 +163,6 @@ def _python_tokens(text: str) -> tuple[list[str], list[str]]:
             else:
                 operands.append(name)
     return operators, operands
-
-
-def halstead(source, lang: str = "") -> tuple[float, float]:
-    """Halstead (volume, effort) from operator/operand counts.
-
-    V = (N1+N2)·log2(n1+n2), D = (n1/2)·(N2/n2), E = D·V; both zero when
-    there are no operands. Counts Python tokens when ``lang`` is Python and
-    the source parses; otherwise falls back to the neutral tokenizer.
-    """
-    text = _as_text(source)
-    if _parse_python(text, lang) is None:
-        return _halstead_neutral(text)
-    return _halstead_from_counts(*_python_tokens(text))
 
 
 def maintainability_index(volume: float, cyclomatic_count: int, loc: int) -> float:

@@ -1,4 +1,8 @@
-"""Labeled suggestion records and the train/validation/test split protocol."""
+"""Labeled suggestion records and the train/validation/test split protocol.
+
+The split fractions are fixed at 64/16/20 (train/validation/test); only the
+seed and session grouping vary.
+"""
 
 from __future__ import annotations
 
@@ -9,7 +13,7 @@ from typing import Iterable, Sequence
 from .errors import SchemaError, SingleClass, TooFewRecords
 from .features import FEATURE_NAMES
 
-DEFAULT_FRACTIONS = (0.64, 0.16, 0.20)
+FRACTIONS = (0.64, 0.16, 0.20)
 SPLIT_NAMES = ("train", "validation", "test")
 
 
@@ -47,6 +51,8 @@ class SuggestionRecord:
     @classmethod
     def from_json_dict(cls, obj: dict) -> "SuggestionRecord":
         try:
+            if obj["y"] not in (0, 1):
+                raise ValueError(f"label must be 0 or 1, got {obj['y']!r}")
             return cls(
                 x=tuple(float(v) for v in obj["x"]),
                 y=int(obj["y"]),
@@ -56,7 +62,7 @@ class SuggestionRecord:
                 suggestion_chars=int(obj.get("suggestion_chars", 0)),
                 decision_latency_ms=int(obj.get("decision_latency_ms", 0)),
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise SchemaError(f"bad suggestion record: {exc}") from exc
 
 
@@ -65,24 +71,14 @@ class Split:
     train: tuple[SuggestionRecord, ...]
     validation: tuple[SuggestionRecord, ...]
     test: tuple[SuggestionRecord, ...]
-    fractions: tuple[float, float, float]
-    seed: int
     indices: dict = field(default_factory=dict, compare=False)
 
-    def manifest(self) -> dict:
-        """Split manifest: record indices per split, plus provenance."""
-        return {
-            "seed": self.seed,
-            "fractions": list(self.fractions),
-            **{name: list(self.indices.get(name, ())) for name in SPLIT_NAMES},
-        }
 
-
-def _largest_remainder_sizes(n: int, fractions: Sequence[float]) -> list[int]:
-    raw = [n * f for f in fractions]
+def _largest_remainder_sizes(n: int) -> list[int]:
+    raw = [n * f for f in FRACTIONS]
     sizes = [int(v) for v in raw]
     remainders = sorted(
-        range(len(fractions)), key=lambda i: (raw[i] - sizes[i], i), reverse=True
+        range(len(FRACTIONS)), key=lambda i: (raw[i] - sizes[i], i), reverse=True
     )
     for i in range(n - sum(sizes)):
         sizes[remainders[i]] += 1
@@ -118,21 +114,19 @@ def _class_quotas(
 
 def stratified_split(
     records: Sequence[SuggestionRecord],
-    fractions: Sequence[float] = DEFAULT_FRACTIONS,
     seed: int = 0,
     group_by_session: bool = False,
 ) -> Split:
     """Deterministic stratified partition into train/validation/test.
 
-    Split sizes are floor-then-distribute-remainder over the full record
-    count; each class is then allocated to splits with the same rule so
-    per-split positive rates stay within one record of the global rate.
+    Split sizes are ``FRACTIONS`` of the full record count, floored, with
+    the remainder handed out by largest fractional part; each class is then
+    allocated to splits with the same rule so per-split positive rates stay
+    within one record of the global rate.
 
     ``group_by_session`` switches to a session-grouped split (no session
     straddles two splits); stratification is then only approximate.
     """
-    if len(fractions) != 3 or abs(sum(fractions) - 1.0) > 1e-9:
-        raise ValueError(f"fractions must be three values summing to 1, got {fractions}")
     labels = [r.y for r in records]
     n_pos = sum(labels)
     n_neg = len(labels) - n_pos
@@ -142,9 +136,9 @@ def stratified_split(
         )
 
     if group_by_session:
-        parts = _split_by_session(records, fractions, seed)
+        parts = _split_by_session(records, seed)
     else:
-        parts = _split_by_record(records, fractions, seed)
+        parts = _split_by_record(records, seed)
 
     for name, idx in zip(SPLIT_NAMES, parts):
         if not any(records[i].y == 1 for i in idx) or not any(
@@ -157,17 +151,13 @@ def stratified_split(
         train=tuple(records[i] for i in train_i),
         validation=tuple(records[i] for i in val_i),
         test=tuple(records[i] for i in test_i),
-        fractions=tuple(fractions),
-        seed=seed,
         indices={"train": tuple(train_i), "validation": tuple(val_i), "test": tuple(test_i)},
     )
 
 
-def _split_by_record(
-    records: Sequence[SuggestionRecord], fractions: Sequence[float], seed: int
-) -> list[list[int]]:
+def _split_by_record(records: Sequence[SuggestionRecord], seed: int) -> list[list[int]]:
     n = len(records)
-    split_sizes = _largest_remainder_sizes(n, fractions)
+    split_sizes = _largest_remainder_sizes(n)
     by_class = {
         0: [i for i, r in enumerate(records) if r.y == 0],
         1: [i for i, r in enumerate(records) if r.y == 1],
@@ -191,15 +181,13 @@ def _split_by_record(
     return parts
 
 
-def _split_by_session(
-    records: Sequence[SuggestionRecord], fractions: Sequence[float], seed: int
-) -> list[list[int]]:
+def _split_by_session(records: Sequence[SuggestionRecord], seed: int) -> list[list[int]]:
     sessions: dict[str, list[int]] = {}
     for i, record in enumerate(records):
         sessions.setdefault(record.session_id, []).append(i)
     order = sorted(sessions)
     random.Random(seed).shuffle(order)
-    targets = _largest_remainder_sizes(len(records), fractions)
+    targets = _largest_remainder_sizes(len(records))
     parts: list[list[int]] = [[], [], []]
     for session in order:
         # Greedy: put the whole session where the deficit is largest.

@@ -2,12 +2,9 @@
 
 from __future__ import annotations
 
-import csv
-import io
-import json
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -154,37 +151,6 @@ class MetricReport:
     precision_rejected: float
     recall_rejected: float
 
-    def to_json_dict(self) -> dict:
-        return {
-            "roc_auc": self.roc_auc,
-            "pr_auc": self.pr_auc,
-            "balanced_accuracy": self.balanced_accuracy,
-            "mcc": self.mcc,
-            "kappa": self.kappa,
-            "brier": self.brier,
-            "tau": self.tau,
-            "tp": self.confusion.tp,
-            "fp": self.confusion.fp,
-            "tn": self.confusion.tn,
-            "fn": self.confusion.fn,
-            "precision_accepted": self.precision_accepted,
-            "recall_accepted": self.recall_accepted,
-            "precision_rejected": self.precision_rejected,
-            "recall_rejected": self.recall_rejected,
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2)
-
-    def to_csv(self) -> str:
-        """Two-column metric,value CSV for tabulation."""
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["metric", "value"])
-        for key, value in self.to_json_dict().items():
-            writer.writerow([key, value])
-        return buf.getvalue()
-
 
 def compute_metric_report(scores, labels, tau: float) -> MetricReport:
     scores, labels = _validate_pair(scores, labels)
@@ -229,11 +195,10 @@ def permutation_importance(
     model: AcceptanceModel,
     X,
     y,
-    metric: Callable[[np.ndarray, np.ndarray], float] = roc_auc,
     repeats: int = 5,
     seed: int = 0,
 ) -> list[tuple[str, float]]:
-    """Mean metric drop per feature when its column is shuffled.
+    """Mean ROC-AUC drop per feature when its column is shuffled.
 
     Deterministic: repeat r draws its permutations from a child generator
     spawned from the master seed. Returns (feature, mean drop) ranked by
@@ -243,7 +208,7 @@ def permutation_importance(
     y = np.asarray(y, dtype=float)
     if X.shape[0] < 50:
         raise ValueError(f"permutation importance needs >= 50 records, got {X.shape[0]}")
-    baseline = metric(predict_proba_batch(model, X), y)
+    baseline = roc_auc(predict_proba_batch(model, X), y)
     drops = np.zeros(X.shape[1])
     children = np.random.SeedSequence(seed).spawn(repeats)
     for child in children:
@@ -251,18 +216,6 @@ def permutation_importance(
         for j in range(X.shape[1]):
             shuffled = X.copy()
             shuffled[:, j] = shuffled[rng.permutation(X.shape[0]), j]
-            drops[j] += baseline - metric(predict_proba_batch(model, shuffled), y)
+            drops[j] += baseline - roc_auc(predict_proba_batch(model, shuffled), y)
     drops /= repeats
-    ranked = sorted(
-        zip(model.feature_names, drops.tolist()), key=lambda item: -item[1]
-    )
-    return ranked
-
-
-def importance_csv(ranked: Sequence[tuple[str, float]]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["feature", "mean_metric_drop"])
-    for name, drop in ranked:
-        writer.writerow([name, drop])
-    return buf.getvalue()
+    return sorted(zip(model.feature_names, drops.tolist()), key=lambda item: -item[1])

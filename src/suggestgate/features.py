@@ -9,9 +9,8 @@ so a caller that loads a model checks the names with
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
-from .telemetry import BehaviorWindow, SessionState
+from .telemetry import SessionState
 
 #: Division guard that makes every ratio total.
 EPSILON = 1e-6
@@ -86,11 +85,9 @@ def edit_density(lines_added: float, file_lines: float) -> float:
     return lines_added / (file_lines + EPSILON)
 
 
-def _window_for(state: SessionState, at: int) -> Optional[BehaviorWindow]:
-    win = state.last_window
-    if win is None or at - win.window_start > STALE_WINDOW_MS:
-        return None
-    return win
+#: The window-scoped values, ``pause_count`` to ``breakpoints``, when no
+#: fresh window describes the context.
+_STALE_WINDOW = (0.0,) * 14
 
 
 def build_feature_vector(state: SessionState, complexity: float, at: int) -> FeatureVector:
@@ -100,46 +97,31 @@ def build_feature_vector(state: SessionState, complexity: float, at: int) -> Fea
     is within 120 s of ``at``; when there is none they are zero and
     ``context_stale`` is set.
     """
-    win = _window_for(state, at)
-    stale = 1.0 if win is None else 0.0
-
-    if win is None:
-        pauses = eff = freq = added = fsize = density = 0.0
-        open_files = undo = quick_fix = terminal = palette = 0.0
-        warnings = errors = breakpoints = 0.0
+    win = state.last_window
+    if win is None or at - win.window_start > STALE_WINDOW_MS:
+        window, stale = _STALE_WINDOW, 1.0
     else:
-        pauses = float(win.pause_count)
-        eff = typing_efficiency(win.chars_typed, win.typing_time_s)
-        freq = pause_frequency(win.pause_count, win.typing_time_s)
-        added = float(win.lines_added)
-        fsize = float(win.file_lines)
-        density = edit_density(win.lines_added, win.file_lines)
-        open_files = float(win.open_files)
-        undo = float(win.undo_count)
-        quick_fix = float(win.quick_fix_count)
-        terminal = float(win.terminal_toggles)
-        palette = float(win.palette_actions)
-        warnings = float(win.warnings)
-        errors = float(win.errors)
-        breakpoints = float(win.breakpoints)
+        window, stale = (
+            float(win.pause_count),
+            typing_efficiency(win.chars_typed, win.typing_time_s),
+            pause_frequency(win.pause_count, win.typing_time_s),
+            float(win.lines_added),
+            float(win.file_lines),
+            edit_density(win.lines_added, win.file_lines),
+            float(win.open_files),
+            float(win.undo_count),
+            float(win.quick_fix_count),
+            float(win.terminal_toggles),
+            float(win.palette_actions),
+            float(win.warnings),
+            float(win.errors),
+            float(win.breakpoints),
+        ), 0.0
 
     return FeatureVector(
         values=(
             float(state.total_chars),
-            pauses,
-            eff,
-            freq,
-            added,
-            fsize,
-            density,
-            open_files,
-            undo,
-            quick_fix,
-            terminal,
-            palette,
-            warnings,
-            errors,
-            breakpoints,
+            *window,
             float(complexity),
             float(state.accepted_count),
             float(state.rejected_count),

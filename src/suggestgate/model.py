@@ -1,6 +1,8 @@
 """Acceptance classifier: weighted-BCE logistic reference and boosted trees.
 
-Training is full-batch and deterministic; a trained model is an immutable
+Training is full-batch and deterministic, with fixed step sizes and l2
+penalty (``LOGISTIC_LR``, ``LOGISTIC_L2``, ``TREE_LR``); the hyperparameter
+objects carry only the sizes callers vary. A trained model is an immutable
 value object that serializes to versioned JSON and refuses to load when the
 format does not match. Loading does not compare the stored feature names
 with ``FEATURE_NAMES``; callers do that with ``require_feature_contract``.
@@ -27,6 +29,9 @@ MODEL_FORMAT_VERSION = "suggestgate-model/2"
 
 _PROB_CLIP = 1e-12
 DEFAULT_TAU = 0.1
+LOGISTIC_LR = 0.5  # first step; halved whenever a step would raise the loss
+LOGISTIC_L2 = 1e-4  # on the weights, not the bias
+TREE_LR = 0.1  # each boosting stage's shrinkage before its line search
 
 
 def _sigmoid(z):
@@ -61,16 +66,13 @@ def weighted_bce_mean(preds, labels, weights: tuple[float, float]) -> float:
 
 @dataclass(frozen=True)
 class LogisticHyper:
-    lr: float = 0.5
     epochs: int = 500
-    l2: float = 1e-4
 
 
 @dataclass(frozen=True)
 class TreeHyper:
     n_trees: int = 200
     depth: int = 4
-    lr: float = 0.1
 
 
 @dataclass(frozen=True)
@@ -173,11 +175,11 @@ def fit_logistic(
     Xs = (X - mean) / std
 
     theta = np.zeros(X.shape[1] + 1)
-    lr = hyper.lr
-    loss, grad = _logistic_loss_grad(theta, Xs, y, weights, hyper.l2)
+    lr = LOGISTIC_LR
+    loss, grad = _logistic_loss_grad(theta, Xs, y, weights, LOGISTIC_L2)
     for _ in range(hyper.epochs):
         candidate = theta - lr * grad
-        new_loss, new_grad = _logistic_loss_grad(candidate, Xs, y, weights, hyper.l2)
+        new_loss, new_grad = _logistic_loss_grad(candidate, Xs, y, weights, LOGISTIC_L2)
         if not math.isfinite(new_loss):
             raise Divergence(f"loss became non-finite (lr={lr})")
         if new_loss > loss:
@@ -310,7 +312,7 @@ def fit_tree_ensemble(
         h = w_vec * p * (1.0 - p)
         feature, threshold, leaf, row_leaf = _grow_tree(Xt, order, g, h, hyper.depth)
         step = leaf[row_leaf]
-        scale = hyper.lr
+        scale = TREE_LR
         for _ in range(10):
             new_loss = weighted_bce_mean(_sigmoid(scores + scale * step), y, weights)
             if not math.isfinite(new_loss):

@@ -134,7 +134,7 @@ def fisher_exact(t: TwoByTwo) -> TailProbability:
     k_hi = min(t.n1, total_k)
     observed = log_pmf(t.k1)
     cutoff = observed + math.log1p(1e-7)
-    included = [log_pmf(k) for k in range(k_lo, k_hi + 1) if log_pmf(k) <= cutoff]
+    included = [lp for lp in map(log_pmf, range(k_lo, k_hi + 1)) if lp <= cutoff]
     log_p = min(0.0, _logsumexp(included))
     return TailProbability(p_value=math.exp(log_p), log10_p=log_p / _LOG10)
 

@@ -141,7 +141,6 @@ class SynthConfig:
     #: Non-linear term: +boost when exactly one of (high efficiency, high
     #: pause rate) holds, -boost otherwise. Zero keeps the truth logistic.
     interaction_boost: float = 0.0
-    start_epoch_ms: int = 1_700_000_000_000
 
     def validate(self) -> None:
         if self.n_sessions < 1:
@@ -195,6 +194,7 @@ class SynthResult:
 
 _EFF_SPLIT = 4.5
 _PAUSE_SPLIT = 0.6
+_START_EPOCH_MS = 1_700_000_000_000  # session s starts 9 s after session s - 1
 
 
 def _true_logit(config: SynthConfig, values: dict[str, float], bias: float) -> float:
@@ -224,7 +224,7 @@ def _draw(config: SynthConfig) -> tuple[list[TelemetryEvent], dict[str, dict]]:
 
     for s in range(config.n_sessions):
         session = f"synth-{s:04d}"
-        session_start = config.start_epoch_ms + s * 9_000
+        session_start = _START_EPOCH_MS + s * 9_000
         minutes = max(3, int(rng.normal(config.mean_session_minutes,
                                         config.mean_session_minutes / 4)))
         state = state_names[int(rng.integers(0, len(state_names)))]

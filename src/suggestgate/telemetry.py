@@ -21,9 +21,6 @@ WINDOW_MS = WINDOW_SECONDS * 1000
 #: this much inactivity is labeled rejected.
 PASSIVE_REJECT_MS = 30_000
 
-#: Collector-side inter-keystroke gap that counts as a pause (config default).
-PAUSE_GAP_SECONDS = 2.0
-
 #: Events may arrive at most this far behind the session's last activity.
 OUT_OF_ORDER_TOLERANCE_MS = 5_000
 
@@ -108,7 +105,7 @@ class TelemetryEvent:
                 kind=kind,
                 payload=dict(obj.get("payload") or {}),
             )
-        except (KeyError, ValueError, TypeError) as exc:
+        except (KeyError, ValueError, TypeError, OverflowError) as exc:
             raise SchemaError(f"bad telemetry event: {exc}") from exc
 
 

@@ -16,8 +16,6 @@ from suggestgate.complexity import (
     ComplexityMethod,
     _cyclomatic_ast,
     _python_tokens,
-    cyclomatic,
-    halstead,
     maintainability_index,
     task_complexity,
 )
@@ -176,17 +174,17 @@ class TestCyclomaticWalk:
 class TestCyclomatic:
     def test_straight_line_is_one(self):
         source = "a = 1\nb = a + 2\nprint(b)\n"
-        assert cyclomatic(source, "python") == 1
-        assert cyclomatic(source, "javascript") == 1
+        assert task_complexity(source, "python").cyclomatic == 1
+        assert task_complexity(source, "javascript").cyclomatic == 1
 
     def test_empty_source_is_one(self):
-        assert cyclomatic("", "python") == 1
-        assert cyclomatic("", "") == 1
+        assert task_complexity("", "python").cyclomatic == 1
+        assert task_complexity("", "").cyclomatic == 1
 
     def test_if_with_short_circuit_counts_two_points(self):
         # Hand count: one branch plus one short-circuit operator.
-        assert cyclomatic("if (a && b) { f(); }", "javascript") == 3
-        assert cyclomatic("if a and b:\n    f()\n", "python") == 3
+        assert task_complexity("if (a && b) { f(); }", "javascript").cyclomatic == 3
+        assert task_complexity("if a and b:\n    f()\n", "python").cyclomatic == 3
 
     def test_grammar_counts_loops_cases_catches(self):
         source = (
@@ -199,14 +197,15 @@ class TestCyclomatic:
             "    pass\n"
         )
         # for + while + except handler = 3 decision points.
-        assert cyclomatic(source, "python") == 4
+        assert task_complexity(source, "python").cyclomatic == 4
 
     def test_ternary_counts(self):
-        assert cyclomatic("x = 1 if flag else 2\n", "python") == 2
+        assert task_complexity("x = 1 if flag else 2\n", "python").cyclomatic == 2
 
     def test_unparseable_python_falls_back(self):
         source = "if (x {\n"
-        assert cyclomatic(source, "python") == cyclomatic(source, "unknown")
+        grammar = task_complexity(source, "python")
+        assert grammar.cyclomatic == task_complexity(source, "unknown").cyclomatic
 
     def test_grammar_heuristic_agree_on_keyword_simple_corpus(self):
         corpus = [
@@ -233,36 +232,41 @@ class TestCyclomatic:
         ]
         assert len(corpus) == 20
         for source in corpus:
-            grammar_cc = cyclomatic(source, "python")
-            heuristic_cc = cyclomatic(source, "unknown")
+            grammar_cc = task_complexity(source, "python").cyclomatic
+            heuristic_cc = task_complexity(source, "unknown").cyclomatic
             assert abs(grammar_cc - heuristic_cc) <= 1, source
 
 
 class TestHalstead:
     def test_empty_source(self):
-        assert halstead("", "") == (0.0, 0.0)
-        assert halstead("", "python") == (0.0, 0.0)
+        report = task_complexity("", "python")
+        assert (report.halstead_volume, report.halstead_effort) == (0.0, 0.0)
 
     def test_hand_counted_statement(self):
         # a = b + c: n1=2 {=, +}, n2=3 {a, b, c}, N1=2, N2=3.
         expected_v = 5 * math.log2(5)
-        for lang in ("", "python"):
-            v, e = halstead("a = b + c", lang)
-            assert v == pytest.approx(expected_v, rel=1e-12)
-            assert e == pytest.approx(expected_v, rel=1e-12)  # D = 1
+        report = task_complexity("a = b + c", "python")
+        assert report.halstead_volume == pytest.approx(expected_v, rel=1e-12)
+        assert report.halstead_effort == pytest.approx(expected_v, rel=1e-12)  # D = 1
 
     def test_doubling_totals_not_vocabulary(self):
-        v, e = halstead("a = b + c\na = b + c", "")
+        report = task_complexity("a = b + c\na = b + c", "python")
+        v = report.halstead_volume
         assert v == pytest.approx(10 * math.log2(5), rel=1e-12)
-        assert e == pytest.approx(2 * v, rel=1e-12)  # D = (2/2)*(6/3) = 2
+        assert report.halstead_effort == pytest.approx(2 * v, rel=1e-12)  # D = (2/2)*(6/3) = 2
 
     def test_operators_only_is_zero(self):
-        assert halstead("+ - * /", "") == (0.0, 0.0)
+        # pass is a keyword, so an operator; there are no operands.
+        report = task_complexity("pass\n", "python")
+        assert (report.halstead_volume, report.halstead_effort) == (0.0, 0.0)
 
     def test_unparseable_python_falls_back(self):
         # tokenize accepts Python 2 print; ast.parse does not.
         for source in ("print 'hello'\n", "if (x {\n", "def f(:\n    ???"):
-            assert halstead(source, "python") == halstead(source, "unknown")
+            grammar = task_complexity(source, "python")
+            heuristic = task_complexity(source, "unknown")
+            assert grammar.halstead_volume == heuristic.halstead_volume
+            assert grammar.halstead_effort == heuristic.halstead_effort
 
 
 class TestMaintainability:
@@ -340,12 +344,4 @@ class TestTaskComplexity:
     def test_report_is_content_agnostic(self):
         secret = "super_secret_identifier_xyz"
         report = task_complexity(f"{secret} = 1\n", "python")
-        assert secret not in str(report.to_json_dict())
-
-    def test_json_dict_fields(self):
-        d = task_complexity("if a:\n    b()\n", "python").to_json_dict()
-        assert set(d) == {
-            "cyclomatic", "halstead_volume", "halstead_effort",
-            "maintainability", "loc", "task_complexity", "method",
-        }
-        assert d["method"] == "Grammar"
+        assert secret not in repr(report)

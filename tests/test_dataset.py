@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 import random
 
 import pytest
@@ -47,6 +48,16 @@ class TestSuggestionRecord:
         with pytest.raises(SchemaError):
             [SuggestionRecord.from_json_dict(o) for o in read_jsonl(path)]
 
+    @pytest.mark.parametrize(
+        "field, value", [("y", 0.9), ("y", 1.7), ("y", "1"), ("y", math.inf), ("timestamp", math.inf)]
+    )
+    def test_bad_value_raises_schema_error(self, field, value):
+        # json.loads reads a JSON Infinity as math.inf.
+        obj = make_records(1, 0)[0].to_json_dict()
+        obj[field] = value
+        with pytest.raises(SchemaError):
+            SuggestionRecord.from_json_dict(obj)
+
 
 class TestStratifiedSplit:
     def test_study_scale_sizes(self):
@@ -75,8 +86,9 @@ class TestStratifiedSplit:
             assert abs(positives - global_rate * len(part)) <= 1.0
 
     def test_divisible_case_exact(self):
-        records = make_records(5, 5)
-        split = stratified_split(records, fractions=(0.6, 0.2, 0.2), seed=0)
+        # 50 records split 32/8/10, and each split's class quotas are whole.
+        records = make_records(25, 25)
+        split = stratified_split(records, seed=0)
         for part in (split.train, split.validation, split.test):
             assert sum(r.y for r in part) / len(part) == 0.5
 
@@ -100,18 +112,6 @@ class TestStratifiedSplit:
     def test_too_few_records(self):
         with pytest.raises(TooFewRecords):
             stratified_split(make_records(3, 50), seed=0)
-
-    def test_bad_fractions(self):
-        with pytest.raises(ValueError):
-            stratified_split(make_records(10, 10), fractions=(0.5, 0.5, 0.5), seed=0)
-
-    def test_manifest_shape(self):
-        records = make_records(10, 40)
-        split = stratified_split(records, seed=9)
-        manifest = split.manifest()
-        assert manifest["seed"] == 9
-        assert manifest["fractions"] == [0.64, 0.16, 0.20]
-        assert len(manifest["test"]) == len(split.test)
 
     def test_session_grouped_mode_keeps_sessions_whole(self):
         records = make_records(40, 160, sessions=12)

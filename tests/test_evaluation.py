@@ -16,7 +16,6 @@ from suggestgate.evaluation import (
     brier,
     compute_metric_report,
     confusion_at,
-    importance_csv,
     kappa,
     mcc,
     permutation_importance,
@@ -243,15 +242,6 @@ class TestMetricReport:
         assert 0.0 <= report.brier <= 1.0
         assert report.confusion.n == 400
 
-    def test_csv_emission(self):
-        rng = np.random.default_rng(4)
-        labels = rng.integers(0, 2, size=60)
-        scores = rng.random(60)
-        csv_text = compute_metric_report(scores, labels, tau=0.5).to_csv()
-        lines = csv_text.strip().splitlines()
-        assert lines[0] == "metric,value"
-        assert any(line.startswith("roc_auc,") for line in lines)
-
     def test_bootstrap_std_positive_for_both_aucs(self):
         rng = np.random.default_rng(2)
         labels = rng.integers(0, 2, size=150)
@@ -317,8 +307,3 @@ class TestPermutationImportance:
         model, X, y = _single_signal_model_and_data(n=30)
         with pytest.raises(ValueError):
             permutation_importance(model, X, y)
-
-    def test_csv_output(self):
-        model, X, y = _single_signal_model_and_data()
-        text = importance_csv(permutation_importance(model, X, y, repeats=2, seed=0))
-        assert text.splitlines()[0] == "feature,mean_metric_drop"

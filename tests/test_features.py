@@ -101,6 +101,56 @@ class TestFeatureVector:
         assert fv["task_complexity"] == pytest.approx(0.4)
         assert fv["total_chars_typed"] == 120.0
 
+    def test_every_slot_joins_its_own_counter(self):
+        # Each window counter and session total gets a distinct value, so a
+        # slot that reads the wrong field, or two swapped slots, shows here.
+        state = SessionState("s1")
+        events = [_typing(1_000, chars=300, duration_ms=20_000)]
+        events += [TelemetryEvent("s1", 2_000 + i, TelemetryKind.PAUSE, {}) for i in range(3)]
+        events.append(TelemetryEvent("s1", 3_000, TelemetryKind.EDIT_APPLIED, {"lines_added": 7}))
+        events.append(TelemetryEvent("s1", 4_000, TelemetryKind.FILE_NAV,
+                                     {"open_files": 4, "file_lines": 400}))
+        t = 5_000
+        for command, times in (("Undo", 5), ("QuickFix", 6), ("TerminalToggle", 8),
+                               ("PaletteAction", 9)):
+            for _ in range(times):
+                events.append(TelemetryEvent("s1", t, TelemetryKind.COMMAND_USE,
+                                             {"command": command}))
+                t += 10
+        events.append(TelemetryEvent("s1", 6_000, TelemetryKind.DIAGNOSTIC,
+                                     {"warnings": 11, "errors": 12, "breakpoints": 13}))
+        events.append(_typing(61_000, chars=0, duration_ms=0))  # roll the window
+        for event in events:
+            ingest_event(state, event)
+        state.accepted_count, state.rejected_count = 14, 15
+        expected = {
+            "total_chars_typed": 300.0,
+            "pause_count": 3.0,
+            "typing_efficiency": 300 / (20.0 + 1e-6),
+            "pause_frequency": 3 / (20.0 + 1e-6),
+            "lines_added": 7.0,
+            "file_size": 400.0,
+            "edit_density": 7 / (400 + 1e-6),
+            "open_files": 4.0,
+            "undo_count": 5.0,
+            "quick_fix_count": 6.0,
+            "terminal_toggles": 8.0,
+            "palette_actions": 9.0,
+            "warnings": 11.0,
+            "errors": 12.0,
+            "breakpoints": 13.0,
+            "task_complexity": 0.37,
+            "session_accepted": 14.0,
+            "session_rejected": 15.0,
+            "acceptance_ratio": 14 / (29 + 1e-6),
+            "total_typing_duration": 20.0,
+            "context_stale": 0.0,
+        }
+        assert tuple(expected) == FEATURE_NAMES
+        assert len(set(expected.values())) == N_FEATURES
+        fv = build_feature_vector(state, complexity=0.37, at=65_000)
+        assert fv.as_dict() == pytest.approx(expected, rel=1e-12)
+
     def test_stale_window_zeroed(self):
         # Walkthrough of the staleness rule: the window closed at t=60 s has
         # start 0; a decision 3 minutes later is beyond the 120 s horizon.

@@ -36,6 +36,7 @@ from suggestgate.model import (
 # node. The array fit must reproduce its splits and its scores exactly.
 
 _REF_LAMBDA = 1e-6
+_REF_LR = 0.1
 _REF_MIN_GAIN = 1e-12
 
 
@@ -110,7 +111,7 @@ def _reference_ensemble(X, y, weights, hyper):
         h = w_vec * p * (1.0 - p)
         root = _reference_fit_tree(Xs, g, h, np.arange(X.shape[0]), hyper.depth)
         step = _reference_eval_tree(root, Xs)
-        scale = hyper.lr
+        scale = _REF_LR
         for _ in range(10):
             new_loss = weighted_bce_mean(_sigmoid(scores + scale * step), y, weights)
             if new_loss <= loss:

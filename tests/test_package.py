@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import importlib
+import pkgutil
+import re
 import sys
 from pathlib import Path
 
@@ -23,3 +25,17 @@ def test_declared_scripts_import():
     for name, target in scripts.items():
         module, _, attr = target.partition(":")
         assert callable(getattr(importlib.import_module(module), attr)), name
+
+
+def test_readme_names_resolve():
+    # Every `module.name` that README gives for a suggestgate module exists.
+    modules = {info.name for info in pkgutil.iter_modules(suggestgate.__path__)}
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    named = [
+        (module, name)
+        for module, name in re.findall(r"`(\w+)\.(\w+)`", readme)
+        if module in modules
+    ]
+    assert len(named) >= 5
+    for module, name in named:
+        assert hasattr(importlib.import_module(f"suggestgate.{module}"), name), f"{module}.{name}"

@@ -289,6 +289,11 @@ class TestJsonl:
         with pytest.raises(SchemaError):
             parse_event_line('["a","list"]')
 
+    @pytest.mark.parametrize("timestamp", ["Infinity", "-Infinity", "NaN"])
+    def test_non_finite_timestamp_raises_schema_error(self, timestamp):
+        with pytest.raises(SchemaError):
+            parse_event_line(f'{{"session_id":"s","timestamp":{timestamp},"kind":"Pause"}}')
+
     def test_read_jsonl_skips_blank_lines_and_refuses_non_objects(self, tmp_path):
         path = tmp_path / "mixed.jsonl"
         path.write_text('{"a":1}\n\n  \n["a","list"]\n')
