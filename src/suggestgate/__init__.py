@@ -14,7 +14,6 @@ from .features import FEATURE_NAMES, FeatureVector, build_feature_vector
 from .gate import Decision, GateDecision, Reason, select_threshold, should_trigger
 from .model import (
     AcceptanceModel,
-    LogisticHyper,
     TreeHyper,
     load_model,
     predict_proba,
@@ -42,7 +41,6 @@ __all__ = [
     "FeatureVector",
     "GateDecision",
     "Label",
-    "LogisticHyper",
     "Reason",
     "SessionState",
     "Split",

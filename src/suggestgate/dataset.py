@@ -6,6 +6,7 @@ seed and session grouping vary.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
@@ -50,20 +51,29 @@ class SuggestionRecord:
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "SuggestionRecord":
+        """Read a record; non-finite features or fractional integers raise ``SchemaError``."""
         try:
-            if obj["y"] not in (0, 1):
-                raise ValueError(f"label must be 0 or 1, got {obj['y']!r}")
+            x = tuple(float(v) for v in obj["x"])
+            if not all(map(math.isfinite, x)):
+                raise ValueError("features are not all finite")
             return cls(
-                x=tuple(float(v) for v in obj["x"]),
-                y=int(obj["y"]),
-                timestamp=int(obj.get("timestamp", 0)),
+                x=x,
+                y=_whole(obj["y"]),
+                timestamp=_whole(obj.get("timestamp", 0)),
                 session_id=str(obj.get("session_id", "")),
-                prompt_length=int(obj.get("prompt_length", 0)),
-                suggestion_chars=int(obj.get("suggestion_chars", 0)),
-                decision_latency_ms=int(obj.get("decision_latency_ms", 0)),
+                prompt_length=_whole(obj.get("prompt_length", 0)),
+                suggestion_chars=_whole(obj.get("suggestion_chars", 0)),
+                decision_latency_ms=_whole(obj.get("decision_latency_ms", 0)),
             )
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise SchemaError(f"bad suggestion record: {exc}") from exc
+
+
+def _whole(value) -> int:
+    """int() raises on a non-finite number; a fraction or a string differs from it."""
+    if value != int(value):
+        raise ValueError(f"expected a whole number, got {value!r}")
+    return int(value)
 
 
 @dataclass(frozen=True)

@@ -1,11 +1,11 @@
 """Acceptance classifier: weighted-BCE logistic reference and boosted trees.
 
-Training is full-batch and deterministic, with fixed step sizes and l2
-penalty (``LOGISTIC_LR``, ``LOGISTIC_L2``, ``TREE_LR``); the hyperparameter
-objects carry only the sizes callers vary. A trained model is an immutable
-value object that serializes to versioned JSON and refuses to load when the
-format does not match. Loading does not compare the stored feature names
-with ``FEATURE_NAMES``; callers do that with ``require_feature_contract``.
+Training is full-batch and deterministic: the logistic model is the optimum
+of its l2-penalized loss (``LOGISTIC_L2``), and boosting shrinks each stage
+by ``TREE_LR``. A trained model is an immutable value object that serializes
+to versioned JSON and refuses to load when the format does not match.
+Loading does not compare the stored feature names with ``FEATURE_NAMES``;
+callers do that with ``require_feature_contract``.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ MODEL_FORMAT_VERSION = "suggestgate-model/2"
 
 _PROB_CLIP = 1e-12
 DEFAULT_TAU = 0.1
-LOGISTIC_LR = 0.5  # first step; halved whenever a step would raise the loss
 LOGISTIC_L2 = 1e-4  # on the weights, not the bias
 TREE_LR = 0.1  # each boosting stage's shrinkage before its line search
 
@@ -43,10 +42,10 @@ def _clip_probs(p):
     return np.minimum(np.maximum(p, _PROB_CLIP), 1.0 - _PROB_CLIP)
 
 
-def weighted_bce(preds, labels, weights: tuple[float, float]) -> float:
-    """Total weighted binary cross-entropy (sum over samples).
+def weighted_bce_mean(preds, labels, weights: tuple[float, float]) -> float:
+    """Per-sample mean of the weighted binary cross-entropy.
 
-    -sum_i w_{y_i} [y_i ln f_i + (1-y_i) ln(1-f_i)], with predictions
+    -(1/n) sum_i w_{y_i} [y_i ln f_i + (1-y_i) ln(1-f_i)], with predictions
     clipped to [1e-12, 1-1e-12] so the loss is finite for any input.
     """
     preds = np.asarray(preds, dtype=float)
@@ -55,18 +54,7 @@ def weighted_bce(preds, labels, weights: tuple[float, float]) -> float:
         raise LengthMismatch(f"{preds.shape} predictions vs {labels.shape} labels")
     f = _clip_probs(preds)
     w = np.where(labels == 1.0, weights[1], weights[0])
-    return float(-np.sum(w * (labels * np.log(f) + (1.0 - labels) * np.log(1.0 - f))))
-
-
-def weighted_bce_mean(preds, labels, weights: tuple[float, float]) -> float:
-    """Per-sample mean of the weighted BCE, for reporting and training."""
-    n = len(np.asarray(preds))
-    return weighted_bce(preds, labels, weights) / n
-
-
-@dataclass(frozen=True)
-class LogisticHyper:
-    epochs: int = 500
+    return float(-np.sum(w * (labels * np.log(f) + (1.0 - labels) * np.log(1.0 - f)))) / len(f)
 
 
 @dataclass(frozen=True)
@@ -142,32 +130,30 @@ def _logistic_loss_grad(
     X: np.ndarray,
     y: np.ndarray,
     weights: tuple[float, float],
-    l2: float,
-) -> tuple[float, np.ndarray]:
-    """Mean weighted BCE plus l2*||w||^2 (bias unpenalized), with gradient."""
-    n = X.shape[0]
-    w_vec = np.where(y == 1.0, weights[1], weights[0])
-    z = X @ theta[:-1] + theta[-1]
-    p = _clip_probs(_sigmoid(z))
-    loss = weighted_bce_mean(p, y, weights) + l2 * float(theta[:-1] @ theta[:-1])
-    residual = w_vec * (p - y)
-    grad = np.empty_like(theta)
-    grad[:-1] = (X.T @ residual) / n + 2.0 * l2 * theta[:-1]
-    grad[-1] = residual.mean()
-    return loss, grad
+) -> tuple[float, np.ndarray, np.ndarray]:
+    """Mean weighted BCE plus LOGISTIC_L2*||w||^2 (bias unpenalized), with gradient and Hessian."""
+    X1 = np.column_stack([X, np.ones(len(X))])
+    w_vec = np.where(y == 1.0, weights[1], weights[0]) / len(X)  # the loss is a mean
+    p = _clip_probs(_sigmoid(X1 @ theta))
+    loss = weighted_bce_mean(p, y, weights) + LOGISTIC_L2 * float(theta[:-1] @ theta[:-1])
+    penalty = np.append(np.full(len(theta) - 1, 2.0 * LOGISTIC_L2), 0.0)
+    grad = X1.T @ (w_vec * (p - y)) + penalty * theta
+    hess = (X1.T * (w_vec * p * (1.0 - p))) @ X1 + np.diag(penalty)
+    return loss, grad, hess
 
 
 def fit_logistic(
     X,
     y,
     weights: tuple[float, float],
-    hyper: LogisticHyper = LogisticHyper(),
     feature_names: Sequence[str] = FEATURE_NAMES,
 ) -> AcceptanceModel:
-    """Full-batch gradient descent on the weighted BCE from zero init.
+    """Minimize the mean weighted BCE plus ``LOGISTIC_L2``*||w||^2 by damped Newton steps.
 
-    The learning rate halves whenever a step would increase the loss, so
-    the recorded training loss is non-increasing across epochs.
+    From zero, each Newton step is halved until it strictly lowers the loss.
+    Once a step's predicted decrease is below one rounding of the loss,
+    comparing losses is noise: that step is taken whole and the fit stops.
+    It also stops when halving no longer moves the parameters.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -175,17 +161,23 @@ def fit_logistic(
     Xs = (X - mean) / std
 
     theta = np.zeros(X.shape[1] + 1)
-    lr = LOGISTIC_LR
-    loss, grad = _logistic_loss_grad(theta, Xs, y, weights, LOGISTIC_L2)
-    for _ in range(hyper.epochs):
-        candidate = theta - lr * grad
-        new_loss, new_grad = _logistic_loss_grad(candidate, Xs, y, weights, LOGISTIC_L2)
-        if not math.isfinite(new_loss):
-            raise Divergence(f"loss became non-finite (lr={lr})")
-        if new_loss > loss:
-            lr *= 0.5
-            continue
-        theta, loss, grad = candidate, new_loss, new_grad
+    loss, grad, hess = _logistic_loss_grad(theta, Xs, y, weights)
+    while math.isfinite(loss):
+        step = np.linalg.solve(hess, grad)
+        if grad @ step <= 2.0 * np.finfo(float).eps * loss:
+            theta = theta - step
+            break
+        while not np.array_equal(theta - step, theta):
+            trial = _logistic_loss_grad(theta - step, Xs, y, weights)
+            if trial[0] < loss or not math.isfinite(trial[0]):
+                break
+            step *= 0.5
+        else:  # no halving moved theta
+            break
+        theta = theta - step
+        loss, grad, hess = trial
+    if not math.isfinite(loss):
+        raise Divergence("logistic loss is non-finite; the training data may hold non-finite values")
 
     return AcceptanceModel(
         feature_names=tuple(feature_names),

@@ -49,10 +49,23 @@ class TestSuggestionRecord:
             [SuggestionRecord.from_json_dict(o) for o in read_jsonl(path)]
 
     @pytest.mark.parametrize(
-        "field, value", [("y", 0.9), ("y", 1.7), ("y", "1"), ("y", math.inf), ("timestamp", math.inf)]
+        "field, value",
+        [
+            ("y", 0.9),
+            ("y", 1.7),
+            ("y", "1"),
+            ("y", math.inf),
+            ("timestamp", math.inf),
+            ("timestamp", 1.7),
+            ("prompt_length", 2.5),
+            ("suggestion_chars", 0.5),
+            ("decision_latency_ms", 100.25),
+            ("x", [math.inf] + [0.0] * (N_FEATURES - 1)),
+            ("x", [0.0] * (N_FEATURES - 1) + [math.nan]),
+        ],
     )
     def test_bad_value_raises_schema_error(self, field, value):
-        # json.loads reads a JSON Infinity as math.inf.
+        # json.loads reads a JSON Infinity as math.inf, and NaN as math.nan.
         obj = make_records(1, 0)[0].to_json_dict()
         obj[field] = value
         with pytest.raises(SchemaError):
