@@ -324,7 +324,7 @@ class TestLogistic:
     @pytest.mark.parametrize("problem", ["separable-1d", "constant-column", "synth-seed-1"])
     def test_stops_after_few_loss_evaluations(self, problem, monkeypatch):
         # Near the optimum, loss differences are rounding noise; a stop rule
-        # that keeps comparing losses there wanders for hundreds of them.
+        # that keeps comparing losses there wanders for dozens of them.
         if problem == "separable-1d":
             X = np.array([[-2.0], [-1.5], [-1.0], [1.0], [1.5], [2.0]])
             y, weights = np.array([0.0, 0.0, 0.0, 1.0, 1.0, 1.0]), (1.0, 1.0)
