@@ -1,7 +1,8 @@
 """Labeled suggestion records and the train/validation/test split protocol.
 
-The split fractions are fixed at 64/16/20 (train/validation/test); only the
-seed and session grouping vary.
+The split fractions are fixed at 64/16/20 (train/validation/test). Every
+split keeps sessions whole, stratified by each session's accepted count;
+only the seed varies.
 """
 
 from __future__ import annotations
@@ -51,7 +52,8 @@ class SuggestionRecord:
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "SuggestionRecord":
-        """Read a record; non-finite features or fractional integers raise ``SchemaError``."""
+        """Read a record; a missing ``x``, ``y`` or ``session_id``, non-finite
+        features or fractional integers raise ``SchemaError``."""
         try:
             x = tuple(float(v) for v in obj["x"])
             if not all(map(math.isfinite, x)):
@@ -60,7 +62,7 @@ class SuggestionRecord:
                 x=x,
                 y=_whole(obj["y"]),
                 timestamp=_whole(obj.get("timestamp", 0)),
-                session_id=str(obj.get("session_id", "")),
+                session_id=str(obj["session_id"]),
                 prompt_length=_whole(obj.get("prompt_length", 0)),
                 suggestion_chars=_whole(obj.get("suggestion_chars", 0)),
                 decision_latency_ms=_whole(obj.get("decision_latency_ms", 0)),
@@ -95,47 +97,17 @@ def _largest_remainder_sizes(n: int) -> list[int]:
     return sizes
 
 
-def _class_quotas(
-    class_counts: list[int], split_sizes: list[int], n: int
-) -> list[list[int]]:
-    """Allocate each class across splits, matching both marginals exactly.
+def stratified_split(records: Sequence[SuggestionRecord], seed: int = 0) -> Split:
+    """Deterministic partition into train/validation/test that keeps sessions whole.
 
-    Floors the proportional quota of every (class, split) cell, then hands
-    the leftover slots to the cells with the largest fractional parts,
-    respecting per-class and per-split totals. Keeps every split's positive
-    rate within one record of the global rate.
-    """
-    quotas = [[0] * len(split_sizes) for _ in class_counts]
-    fracs = []
-    for ci, count in enumerate(class_counts):
-        for si, size in enumerate(split_sizes):
-            exact = count * size / n
-            quotas[ci][si] = int(exact)
-            fracs.append((exact - quotas[ci][si], ci, si))
-    class_left = [count - sum(quotas[ci]) for ci, count in enumerate(class_counts)]
-    split_left = [size - sum(q[si] for q in quotas) for si, size in enumerate(split_sizes)]
-    for _, ci, si in sorted(fracs, key=lambda t: (-t[0], t[1], t[2])):
-        if class_left[ci] > 0 and split_left[si] > 0:
-            quotas[ci][si] += 1
-            class_left[ci] -= 1
-            split_left[si] -= 1
-    return quotas
-
-
-def stratified_split(
-    records: Sequence[SuggestionRecord],
-    seed: int = 0,
-    group_by_session: bool = False,
-) -> Split:
-    """Deterministic stratified partition into train/validation/test.
-
-    Split sizes are ``FRACTIONS`` of the full record count, floored, with
-    the remainder handed out by largest fractional part; each class is then
-    allocated to splits with the same rule so per-split positive rates stay
-    within one record of the global rate.
-
-    ``group_by_session`` switches to a session-grouped split (no session
-    straddles two splits); stratification is then only approximate.
+    The split targets are ``FRACTIONS`` of the record count, floored, with
+    the remainder handed out by largest fractional part. Sessions are
+    shuffled by ``seed``, stable-sorted by accepted count (most first), and
+    each goes whole to the split with the largest relative deficit
+    ``(target - placed) / target``, so the accepted records spread in
+    proportion to the targets. With one record per session the sizes equal
+    the targets and each split's positive count is within two records of
+    its share (at most one above it).
     """
     labels = [r.y for r in records]
     n_pos = sum(labels)
@@ -145,10 +117,19 @@ def stratified_split(
             f"need at least 5 records per class, got {n_pos} positive / {n_neg} negative"
         )
 
-    if group_by_session:
-        parts = _split_by_session(records, seed)
-    else:
-        parts = _split_by_record(records, seed)
+    sessions: dict[str, list[int]] = {}
+    for i, record in enumerate(records):
+        sessions.setdefault(record.session_id, []).append(i)
+    order = sorted(sessions)
+    random.Random(seed).shuffle(order)
+    order.sort(key=lambda s: sum(labels[i] for i in sessions[s]), reverse=True)
+    targets = _largest_remainder_sizes(len(records))
+    parts: list[list[int]] = [[], [], []]
+    for session in order:
+        si = max(range(3), key=lambda j: (targets[j] - len(parts[j])) / targets[j])
+        parts[si].extend(sessions[session])
+    for part in parts:
+        part.sort()
 
     for name, idx in zip(SPLIT_NAMES, parts):
         if not any(records[i].y == 1 for i in idx) or not any(
@@ -163,50 +144,6 @@ def stratified_split(
         test=tuple(records[i] for i in test_i),
         indices={"train": tuple(train_i), "validation": tuple(val_i), "test": tuple(test_i)},
     )
-
-
-def _split_by_record(records: Sequence[SuggestionRecord], seed: int) -> list[list[int]]:
-    n = len(records)
-    split_sizes = _largest_remainder_sizes(n)
-    by_class = {
-        0: [i for i, r in enumerate(records) if r.y == 0],
-        1: [i for i, r in enumerate(records) if r.y == 1],
-    }
-    quotas = _class_quotas([len(by_class[0]), len(by_class[1])], split_sizes, n)
-    if any(q == 0 for row in quotas for q in row):
-        raise TooFewRecords("a class cannot appear in every split")
-
-    rng = random.Random(seed)
-    parts: list[list[int]] = [[], [], []]
-    for ci in (0, 1):
-        indices = list(by_class[ci])
-        rng.shuffle(indices)
-        offset = 0
-        for si in range(3):
-            take = quotas[ci][si]
-            parts[si].extend(indices[offset : offset + take])
-            offset += take
-    for part in parts:
-        part.sort()
-    return parts
-
-
-def _split_by_session(records: Sequence[SuggestionRecord], seed: int) -> list[list[int]]:
-    sessions: dict[str, list[int]] = {}
-    for i, record in enumerate(records):
-        sessions.setdefault(record.session_id, []).append(i)
-    order = sorted(sessions)
-    random.Random(seed).shuffle(order)
-    targets = _largest_remainder_sizes(len(records))
-    parts: list[list[int]] = [[], [], []]
-    for session in order:
-        # Greedy: put the whole session where the deficit is largest.
-        deficits = [targets[si] - len(parts[si]) for si in range(3)]
-        si = max(range(3), key=lambda j: deficits[j])
-        parts[si].extend(sessions[session])
-    for part in parts:
-        part.sort()
-    return parts
 
 
 def class_weights(records: Iterable[SuggestionRecord]) -> tuple[float, float]:

@@ -22,6 +22,7 @@ from .errors import (
     FeatureMismatch,
     LengthMismatch,
     ModelFormatError,
+    SingleClass,
 )
 from .features import FEATURE_NAMES, FeatureVector
 
@@ -116,6 +117,12 @@ def _standardize(X: np.ndarray, model: AcceptanceModel) -> np.ndarray:
     return (X - model._mean) / model._std
 
 
+def _require_both_classes(y: np.ndarray) -> None:
+    n_pos = int(np.count_nonzero(y == 1.0))
+    if n_pos in (0, len(y)):
+        raise SingleClass(f"both classes required, got {n_pos} positive / {len(y) - n_pos} negative")
+
+
 def split_to_arrays(records) -> tuple[np.ndarray, np.ndarray]:
     X = np.array([r.x for r in records], dtype=float)
     y = np.array([r.y for r in records], dtype=float)
@@ -153,10 +160,12 @@ def fit_logistic(
     From zero, each Newton step is halved until it strictly lowers the loss.
     Once a step's predicted decrease is below one rounding of the loss,
     comparing losses is noise: that step is taken whole and the fit stops.
-    It also stops when halving no longer moves the parameters.
+    It also stops when halving no longer moves the parameters. Labels of
+    one class raise ``SingleClass``.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
+    _require_both_classes(y)
     mean, std = _standardization(X)
     Xs = (X - mean) / std
 
@@ -282,10 +291,11 @@ def fit_tree_ensemble(
     Each stage fits a tree to the negative gradient with Newton leaf
     values; a stage that would raise the training loss is shrunk (halved up
     to ten times) and dropped if it never helps, so the per-stage training
-    loss is non-increasing.
+    loss is non-increasing. Labels of one class raise ``SingleClass``.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
+    _require_both_classes(y)
     mean, std = _standardization(X)
     Xt = np.ascontiguousarray(((X - mean) / std).T)
     order = np.argsort(Xt, axis=1, kind="stable")

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from suggestgate import model as model_module
 from suggestgate.dataset import class_weights, stratified_split
-from suggestgate.errors import Divergence, FeatureMismatch, LengthMismatch, ModelFormatError
+from suggestgate.errors import Divergence, FeatureMismatch, LengthMismatch, ModelFormatError, SingleClass
 from suggestgate.features import N_FEATURES, FeatureVector
 from suggestgate.model import (
     LOGISTIC_L2,
@@ -353,6 +353,22 @@ class TestLogistic:
         with np.errstate(invalid="ignore"), pytest.raises(Divergence) as excinfo:
             fit_logistic(X, np.array([0.0, 1.0, 1.0]), (1.0, 1.0), feature_names=["x"])
         assert "lr=" not in str(excinfo.value)
+
+
+@pytest.mark.parametrize("label", [0.0, 1.0])
+@pytest.mark.parametrize(
+    "fit",
+    [
+        lambda X, y: fit_logistic(X, y, (1.0, 1.0), feature_names=["x0", "x1"]),
+        lambda X, y: fit_tree_ensemble(X, y, (1.0, 1.0), TreeHyper(n_trees=20), ["x0", "x1"]),
+    ],
+    ids=["logistic", "tree"],
+)
+def test_one_class_labels_raise_single_class(fit, label):
+    # Fitted, both models would walk their bias to the probability clip.
+    X = np.random.default_rng(0).normal(size=(50, 2))
+    with pytest.raises(SingleClass):
+        fit(X, np.full(50, label))
 
 
 class TestTreeEnsemble:
