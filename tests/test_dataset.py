@@ -105,7 +105,8 @@ class TestStratifiedSplit:
             assert abs(positives - global_rate * len(part)) <= 1.0
 
     def test_divisible_case_exact(self):
-        # 50 records split 32/8/10, and each split's class quotas are whole.
+        # 50 one-record sessions split 32/8/10, and each split's share of
+        # the 25 positives (16/4/5) is whole.
         records = make_records(25, 25, sessions=50)
         split = stratified_split(records, seed=0)
         for part in (split.train, split.validation, split.test):
