@@ -109,40 +109,18 @@ class TelemetryEvent:
             raise SchemaError(f"bad telemetry event: {exc}") from exc
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class BehaviorWindow:
-    """One-minute aggregate of telemetry counters; immutable once closed.
+    """One-minute aggregate of telemetry counters.
 
-    Sums: chars_typed, typing_time_s, pause_count, nav_events, command
-    counters, lines_added. Gauges (last value seen in the window):
-    warnings, errors, breakpoints, open_files, file_lines.
+    Filled while it is the session's open window and not written after it
+    closes. Sums: chars_typed, typing_time_s (at most the window's 60 s),
+    pause_count, nav_events, command counters, lines_added. Gauges (last
+    value seen): warnings, errors, breakpoints, open_files, file_lines.
     """
 
     session_id: str
     window_start: int  # ms, multiple of WINDOW_MS
-    duration_s: int
-    chars_typed: int
-    typing_time_s: float
-    pause_count: int
-    nav_events: int
-    undo_count: int
-    quick_fix_count: int
-    terminal_toggles: int
-    palette_actions: int
-    warnings: int
-    errors: int
-    breakpoints: int
-    lines_added: int
-    file_lines: int
-    open_files: int
-
-
-@dataclass(slots=True)
-class _OpenWindow:
-    """Mutable accumulator for the window currently being filled."""
-
-    session_id: str
-    window_start: int
     chars_typed: int = 0
     typing_time_s: float = 0.0
     pause_count: int = 0
@@ -158,19 +136,13 @@ class _OpenWindow:
     file_lines: int = 0
     open_files: int = 0
 
-    def close(self) -> BehaviorWindow:
-        values = {name: getattr(self, name) for name in self.__slots__}
-        values["typing_time_s"] = min(self.typing_time_s, float(WINDOW_SECONDS))
-        return BehaviorWindow(duration_s=WINDOW_SECONDS, **values)
-
 
 @dataclass
 class SessionState:
-    """Accumulated per-session counters plus the last closed window.
+    """Accumulated per-session counters, the open window and the last closed one.
 
-    Mutated by exactly one writer at a time; snapshots read by the feature
-    builder are plain numbers and the most recent closed window, both of
-    which are immutable.
+    Mutated by exactly one writer at a time. The feature builder reads plain
+    numbers and ``last_window``, which ingest does not write after it closes.
     """
 
     session_id: str
@@ -181,7 +153,7 @@ class SessionState:
     suggestions_seen: int = 0
     last_activity: int = 0
     last_window: Optional[BehaviorWindow] = None
-    open_window: Optional[_OpenWindow] = None
+    open_window: Optional[BehaviorWindow] = None
     # Inactivity anchor (ms) of the unresolved suggestion, if any.
     pending_suggestion: Optional[int] = None
 
@@ -254,7 +226,7 @@ def ingest_event(state: SessionState, event: TelemetryEvent) -> SessionState:
     bucket = window_start_for(event.timestamp)
     win = state.open_window
     if win is None or bucket > win.window_start:
-        win = _OpenWindow(state.session_id, bucket)
+        win = BehaviorWindow(state.session_id, bucket)
     elif bucket < win.window_start:
         raise RejectOutOfOrder(
             f"event at {event.timestamp} falls before the open window at {win.window_start}"
@@ -269,8 +241,7 @@ def ingest_event(state: SessionState, event: TelemetryEvent) -> SessionState:
             raise SchemaError(f"bad {kind.value} payload: {exc}") from exc
 
     if win is not state.open_window:
-        if state.open_window is not None:
-            state.last_window = state.open_window.close()
+        state.last_window = state.open_window
         state.open_window = win
     anchor = state.pending_suggestion
     if anchor is not None:
@@ -289,7 +260,7 @@ def ingest_event(state: SessionState, event: TelemetryEvent) -> SessionState:
         chars, duration_ms = counts
         duration_s = duration_ms / 1000.0
         win.chars_typed += chars
-        win.typing_time_s += duration_s
+        win.typing_time_s = min(win.typing_time_s + duration_s, float(WINDOW_SECONDS))
         state.total_chars += chars
         state.total_typing_duration += duration_s
     elif kind is _PAUSE:
