@@ -116,7 +116,9 @@ class BehaviorWindow:
     Filled while it is the session's open window and not written after it
     closes. Sums: chars_typed, typing_time_s (at most the window's 60 s),
     pause_count, nav_events, command counters, lines_added. Gauges (last
-    value seen): warnings, errors, breakpoints, open_files, file_lines.
+    value seen): warnings and errors, 0 until the window's first Diagnostic;
+    breakpoints, open_files and file_lines, carried from the previous window
+    until an event sets them (0 before any).
     """
 
     session_id: str
@@ -143,6 +145,8 @@ class SessionState:
 
     Mutated by exactly one writer at a time. The feature builder reads plain
     numbers and ``last_window``, which ingest does not write after it closes.
+    Each new open window starts from the breakpoints, open_files and
+    file_lines of the window it replaces.
     """
 
     session_id: str
@@ -168,7 +172,8 @@ def window_start_for(timestamp_ms: int) -> int:
 
 
 #: Integer payload fields per event kind, parsed before the state changes.
-#: A gauge the payload leaves out keeps the window's value.
+#: A carried gauge the payload leaves out keeps its last value; an omitted
+#: count, ``warnings`` and ``errors`` included, is 0.
 _PAYLOAD_COUNTS = {
     _TYPING_BURST: lambda p, w: (
         int(p.get("chars_typed", 0)),
@@ -225,8 +230,11 @@ def ingest_event(state: SessionState, event: TelemetryEvent) -> SessionState:
     # A new window joins the state only once the payload has parsed.
     bucket = window_start_for(event.timestamp)
     win = state.open_window
-    if win is None or bucket > win.window_start:
+    if win is None:
         win = BehaviorWindow(state.session_id, bucket)
+    elif bucket > win.window_start:
+        win = BehaviorWindow(state.session_id, bucket, breakpoints=win.breakpoints,
+                             file_lines=win.file_lines, open_files=win.open_files)
     elif bucket < win.window_start:
         raise RejectOutOfOrder(
             f"event at {event.timestamp} falls before the open window at {win.window_start}"

@@ -3,6 +3,7 @@ from __future__ import annotations
 import pytest
 
 from suggestgate.features import (
+    EPSILON,
     FEATURE_NAMES,
     N_FEATURES,
     FeatureVector,
@@ -100,6 +101,21 @@ class TestFeatureVector:
         assert fv["edit_density"] == pytest.approx(6 / 200.000001, rel=1e-9)
         assert fv["task_complexity"] == pytest.approx(0.4)
         assert fv["total_chars_typed"] == 120.0
+
+    def test_file_gauges_carry_into_a_minute_without_navigation(self):
+        # Minute 1 has an edit but no FileNav; its vector, built in minute 2,
+        # divides by the file size carried from minute 0, not by 0.
+        state = SessionState("s1")
+        ingest_event(state, TelemetryEvent("s1", 4_000, TelemetryKind.FILE_NAV,
+                                           {"open_files": 3, "file_lines": 250}))
+        ingest_event(state, TelemetryEvent("s1", 70_000, TelemetryKind.EDIT_APPLIED,
+                                           {"lines_added": 5}))
+        ingest_event(state, _typing(125_000))  # roll the window
+        fv = build_feature_vector(state, complexity=0.0, at=125_000)
+        assert fv["context_stale"] == 0.0
+        assert fv["file_size"] == 250.0
+        assert fv["open_files"] == 3.0
+        assert fv["edit_density"] == 5 / (250 + EPSILON)
 
     def test_every_slot_joins_its_own_counter(self):
         # Each window counter and session total gets a distinct value, so a

@@ -347,10 +347,14 @@ class TestIngestProperties:
     @settings(max_examples=150, deadline=None)
     @given(steps=st.lists(_STEP, max_size=120), start=st.integers(0, 10**12))
     def test_window_sums_conserved_and_outcomes_bounded(self, steps, start):
+        # Also: each window's file_lines, open_files and breakpoints are the
+        # last values an event of the session set by its end, or 0 before any.
         state = SessionState("s1")
         windows: list = []
         times = []
         totals = dict.fromkeys(("chars", "pauses", "nav", "commands", "lines"), 0)
+        gauges = {}
+        file_lines = open_files = breakpoints = 0
         t = start
         for gap, kind, n, ms, command in steps:
             t += gap
@@ -366,6 +370,10 @@ class TestIngestProperties:
                 totals["nav"] += kind is TelemetryKind.FILE_NAV
                 totals["commands"] += kind is TelemetryKind.COMMAND_USE
                 totals["lines"] += event.payload.get("lines_added", 0)
+                file_lines = event.payload.get("file_lines", file_lines)
+                open_files = event.payload.get("open_files", open_files)
+                breakpoints = event.payload.get("breakpoints", breakpoints)
+                gauges[window_start_for(t)] = (file_lines, open_files, breakpoints)
             assert state.accepted_count + state.rejected_count <= state.suggestions_seen
         if state.open_window is not None:
             windows.append(state.open_window)
@@ -379,6 +387,9 @@ class TestIngestProperties:
             for w in windows
         ) == totals["commands"]
         assert sum(w.lines_added for w in windows) == totals["lines"]
+        assert {
+            w.window_start: (w.file_lines, w.open_files, w.breakpoints) for w in windows
+        } == gauges
 
     @settings(max_examples=150, deadline=None)
     @given(
