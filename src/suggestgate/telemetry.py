@@ -111,14 +111,12 @@ class TelemetryEvent:
 
 @dataclass(slots=True)
 class BehaviorWindow:
-    """One-minute aggregate of telemetry counters.
+    """One-minute aggregate of telemetry counters; not written after it closes.
 
-    Filled while it is the session's open window and not written after it
-    closes. Sums: chars_typed, typing_time_s (at most the window's 60 s),
-    pause_count, nav_events, command counters, lines_added. Gauges (last
-    value seen): warnings and errors, 0 until the window's first Diagnostic;
-    breakpoints, open_files and file_lines, carried from the previous window
-    until an event sets them (0 before any).
+    Sums: chars_typed, typing_time_s (at most 60 s), pause_count,
+    nav_events, command counters, lines_added. Gauges (last value seen):
+    warnings, errors, and breakpoints, open_files, file_lines, which carry
+    over from the previous window.
     """
 
     session_id: str
@@ -144,9 +142,8 @@ class SessionState:
     """Accumulated per-session counters, the open window and the last closed one.
 
     Mutated by exactly one writer at a time. The feature builder reads plain
-    numbers and ``last_window``, which ingest does not write after it closes.
-    Each new open window starts from the breakpoints, open_files and
-    file_lines of the window it replaces.
+    numbers and ``last_window``, which is not written after it closes; the
+    next window starts with its breakpoints, open_files and file_lines.
     """
 
     session_id: str
@@ -171,27 +168,6 @@ def window_start_for(timestamp_ms: int) -> int:
     return (timestamp_ms // WINDOW_MS) * WINDOW_MS
 
 
-#: Integer payload fields per event kind, parsed before the state changes.
-#: A carried gauge the payload leaves out keeps its last value; an omitted
-#: count, ``warnings`` and ``errors`` included, is 0.
-_PAYLOAD_COUNTS = {
-    _TYPING_BURST: lambda p, w: (
-        int(p.get("chars_typed", 0)),
-        int(p.get("duration_ms", 0)),
-    ),
-    _FILE_NAV: lambda p, w: (
-        int(p.get("open_files", w.open_files)),
-        int(p.get("file_lines", w.file_lines)),
-    ),
-    _DIAGNOSTIC: lambda p, w: (
-        int(p.get("warnings", 0)),
-        int(p.get("errors", 0)),
-        int(p.get("breakpoints", w.breakpoints)),
-    ),
-    _EDIT_APPLIED: lambda p, w: (int(p.get("lines_added", 0)),),
-}
-
-
 def _pending_label(anchor: int, kind: TelemetryKind, timestamp: int) -> Optional[Label]:
     """The label an event gives the pending suggestion, or None if it stays pending.
 
@@ -214,8 +190,8 @@ def ingest_event(state: SessionState, event: TelemetryEvent) -> SessionState:
 
     Raises RejectOutOfOrder if the event is older than the session's last
     activity by more than the tolerance (corrupt stream) or falls in a minute
-    before the open window, and SchemaError if a count in the payload is not
-    a finite number; either way the state is left as it was.
+    before the open window, and SchemaError if a count in the payload is
+    negative or not a finite number; either way the state is left as it was.
     """
     if event.session_id != state.session_id:
         raise ValueError(
@@ -227,7 +203,6 @@ def ingest_event(state: SessionState, event: TelemetryEvent) -> SessionState:
             f"{state.last_activity} by more than {OUT_OF_ORDER_TOLERANCE_MS} ms"
         )
 
-    # A new window joins the state only once the payload has parsed.
     bucket = window_start_for(event.timestamp)
     win = state.open_window
     if win is None:
@@ -239,14 +214,58 @@ def ingest_event(state: SessionState, event: TelemetryEvent) -> SessionState:
         raise RejectOutOfOrder(
             f"event at {event.timestamp} falls before the open window at {win.window_start}"
         )
+
+    # Each branch parses its payload before it writes, and a new window joins
+    # the state only afterwards, so a bad payload changes nothing. A carried
+    # gauge the payload omits keeps its last value; any other omitted count
+    # is 0.
     payload = event.payload
     kind = event.kind
-    parse = _PAYLOAD_COUNTS.get(kind)
-    if parse is not None:
-        try:
-            counts = parse(payload, win)
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise SchemaError(f"bad {kind.value} payload: {exc}") from exc
+    try:
+        if kind is _TYPING_BURST:
+            chars = int(payload.get("chars_typed", 0))
+            duration_ms = int(payload.get("duration_ms", 0))
+            if chars < 0 or duration_ms < 0:
+                raise ValueError("negative count")
+            seconds = duration_ms / 1000.0
+            win.chars_typed += chars
+            win.typing_time_s = min(win.typing_time_s + seconds, float(WINDOW_SECONDS))
+            state.total_chars += chars
+            state.total_typing_duration += seconds
+        elif kind is _PAUSE:
+            win.pause_count += 1
+        elif kind is _FILE_NAV:
+            open_files = int(payload.get("open_files", win.open_files))
+            file_lines = int(payload.get("file_lines", win.file_lines))
+            if open_files < 0 or file_lines < 0:
+                raise ValueError("negative count")
+            win.nav_events += 1
+            win.open_files, win.file_lines = open_files, file_lines
+        elif kind is _COMMAND_USE:
+            command = payload.get("command")
+            if command == _UNDO:
+                win.undo_count += 1
+            elif command == _QUICK_FIX:
+                win.quick_fix_count += 1
+            elif command == _TERMINAL_TOGGLE:
+                win.terminal_toggles += 1
+            else:
+                # PaletteAction, Copy, Paste: generic command surface.
+                win.palette_actions += 1
+        elif kind is _DIAGNOSTIC:
+            warnings = int(payload.get("warnings", 0))
+            errors = int(payload.get("errors", 0))
+            breakpoints = int(payload.get("breakpoints", win.breakpoints))
+            if warnings < 0 or errors < 0 or breakpoints < 0:
+                raise ValueError("negative count")
+            win.warnings, win.errors, win.breakpoints = warnings, errors, breakpoints
+        elif kind is _EDIT_APPLIED:
+            lines = int(payload.get("lines_added", 0))
+            if lines < 0:
+                raise ValueError("negative count")
+            win.lines_added += lines
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise SchemaError(f"bad {kind.value} payload: {exc}") from exc
 
     if win is not state.open_window:
         state.last_window = state.open_window
@@ -263,35 +282,7 @@ def ingest_event(state: SessionState, event: TelemetryEvent) -> SessionState:
                 state.accepted_count += 1
             else:
                 state.rejected_count += 1
-
-    if kind is _TYPING_BURST:
-        chars, duration_ms = counts
-        duration_s = duration_ms / 1000.0
-        win.chars_typed += chars
-        win.typing_time_s = min(win.typing_time_s + duration_s, float(WINDOW_SECONDS))
-        state.total_chars += chars
-        state.total_typing_duration += duration_s
-    elif kind is _PAUSE:
-        win.pause_count += 1
-    elif kind is _FILE_NAV:
-        win.nav_events += 1
-        win.open_files, win.file_lines = counts
-    elif kind is _COMMAND_USE:
-        command = payload.get("command")
-        if command == _UNDO:
-            win.undo_count += 1
-        elif command == _QUICK_FIX:
-            win.quick_fix_count += 1
-        elif command == _TERMINAL_TOGGLE:
-            win.terminal_toggles += 1
-        else:
-            # PaletteAction, Copy, Paste: generic command surface.
-            win.palette_actions += 1
-    elif kind is _DIAGNOSTIC:
-        win.warnings, win.errors, win.breakpoints = counts
-    elif kind is _EDIT_APPLIED:
-        win.lines_added += counts[0]
-    elif kind is _SUGGESTION_SHOWN:
+    if kind is _SUGGESTION_SHOWN:
         state.suggestions_seen += 1
         state.pending_suggestion = event.timestamp
 

@@ -139,6 +139,15 @@ class TestWindowing:
             (TelemetryKind.FILE_NAV, {"file_lines": float("inf")}),
             (TelemetryKind.DIAGNOSTIC, {"errors": "many"}),
             (TelemetryKind.EDIT_APPLIED, {"lines_added": None}),
+            (TelemetryKind.TYPING_BURST, {"chars_typed": -50, "duration_ms": -9000}),
+            (TelemetryKind.TYPING_BURST, {"chars_typed": 5, "duration_ms": -1}),
+            (TelemetryKind.TYPING_BURST, {"duration_ms": 10**400}),
+            (TelemetryKind.FILE_NAV, {"open_files": -2}),
+            (TelemetryKind.FILE_NAV, {"open_files": 2, "file_lines": -1}),
+            (TelemetryKind.DIAGNOSTIC, {"warnings": -1}),
+            (TelemetryKind.DIAGNOSTIC, {"errors": -1}),
+            (TelemetryKind.DIAGNOSTIC, {"breakpoints": -1}),
+            (TelemetryKind.EDIT_APPLIED, {"lines_added": -3}),
         ],
     )
     def test_bad_numeric_payload_leaves_state_unchanged(self, kind, payload):
