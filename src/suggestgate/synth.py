@@ -12,7 +12,7 @@ rate (0.178-0.182 for 0.18 at 100 sessions, seeds 0-9).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -133,10 +133,6 @@ class SynthConfig:
     requests_per_minute: float = 1.0
     base_acceptance: float = 0.18
     seed: int = 0
-    transition: dict = field(default_factory=lambda: {
-        s: dict(row) for s, row in DEFAULT_TRANSITION.items()
-    })
-    states: dict = field(default_factory=lambda: dict(DEFAULT_STATES))
     ground_truth: tuple[GroundTruthTerm, ...] = DEFAULT_GROUND_TRUTH
     #: Non-linear term: +boost when exactly one of (high efficiency, high
     #: pause rate) holds, -boost otherwise. Zero keeps the truth logistic.
@@ -151,16 +147,6 @@ class SynthConfig:
             raise InvalidConfig("base_acceptance must lie in (0, 1)")
         if self.requests_per_minute <= 0:
             raise InvalidConfig("requests_per_minute must be positive")
-        names = set(self.states)
-        if set(self.transition) != names:
-            raise InvalidConfig("transition matrix states do not match profiles")
-        for state, row in self.transition.items():
-            if set(row) != names:
-                raise InvalidConfig(f"transition row {state!r} misses states")
-            if any(not 0.0 <= p <= 1.0 for p in row.values()):
-                raise InvalidConfig(f"transition row {state!r} has probability outside [0, 1]")
-            if abs(sum(row.values()) - 1.0) > 1e-9:
-                raise InvalidConfig(f"transition row {state!r} does not sum to 1")
 
 
 def xor_variant_config(seed: int = 0, **overrides) -> SynthConfig:
@@ -215,7 +201,7 @@ def _draw(config: SynthConfig) -> tuple[list[TelemetryEvent], dict[str, dict]]:
     """All behavioural randomness, outcome uniforms included: the events
     sorted by timestamp (ties in emission order) and each request's metadata."""
     rng = np.random.default_rng(config.seed)
-    state_names = sorted(config.states)
+    state_names = sorted(DEFAULT_STATES)
     events: list[TelemetryEvent] = []
     requests: dict[str, dict] = {}
 
@@ -229,7 +215,7 @@ def _draw(config: SynthConfig) -> tuple[list[TelemetryEvent], dict[str, dict]]:
                                         config.mean_session_minutes / 4)))
         state = state_names[int(rng.integers(0, len(state_names)))]
         for minute in range(minutes):
-            row = config.transition[state]
+            row = DEFAULT_TRANSITION[state]
             u = rng.random()
             cumulative = 0.0
             for name in state_names:
@@ -237,7 +223,7 @@ def _draw(config: SynthConfig) -> tuple[list[TelemetryEvent], dict[str, dict]]:
                 if u < cumulative:
                     state = name
                     break
-            profile = config.states[state]
+            profile = DEFAULT_STATES[state]
             minute_start = session_start + minute * 60_000
 
             def offset() -> int:
@@ -248,10 +234,10 @@ def _draw(config: SynthConfig) -> tuple[list[TelemetryEvent], dict[str, dict]]:
             ), 55.0)
             n_bursts = int(1 + rng.poisson(profile.bursts_per_min)) if typing_s > 0.5 else 0
             for _ in range(n_bursts):
-                duration_s = typing_s / n_bursts
-                chars = int(rng.poisson(max(profile.chars_per_second * duration_s, 0.01)))
+                burst_s = typing_s / n_bursts
+                chars = int(rng.poisson(max(profile.chars_per_second * burst_s, 0.01)))
                 emit(session, offset(), TelemetryKind.TYPING_BURST,
-                     {"chars_typed": chars, "duration_ms": int(duration_s * 1000)})
+                     {"chars_typed": chars, "duration_ms": int(burst_s * 1000)})
             for _ in range(int(rng.poisson(profile.pauses_per_min))):
                 emit(session, offset(), TelemetryKind.PAUSE, {})
             for _ in range(int(rng.poisson(profile.nav_per_min))):

@@ -8,8 +8,6 @@ from suggestgate.errors import InvalidConfig, SchemaError
 from suggestgate.evaluation import roc_auc
 from suggestgate.model import fit_logistic, fit_tree_ensemble, predict_proba_batch, split_to_arrays
 from suggestgate.synth import (
-    EXPLORATORY,
-    FLOW,
     SynthConfig,
     _draw,
     _stream,
@@ -89,10 +87,6 @@ class TestGroundTruth:
             assert oracle >= roc_auc(predict_proba_batch(model, X_test), y_test)
 
 
-def _transition(flow_row: dict) -> dict:
-    return {FLOW: flow_row, EXPLORATORY: {FLOW: 0.25, EXPLORATORY: 0.75}}
-
-
 class TestValidate:
     @pytest.mark.parametrize(
         "overrides, message",
@@ -103,10 +97,6 @@ class TestValidate:
             ({"base_acceptance": 1.0}, "base_acceptance"),
             ({"requests_per_minute": 0.0}, "requests_per_minute"),
             ({"requests_per_minute": -1.0}, "requests_per_minute"),
-            ({"transition": {FLOW: {FLOW: 1.0}}}, "do not match"),
-            ({"transition": _transition({FLOW: 1.0})}, "misses states"),
-            ({"transition": _transition({FLOW: 1.2, EXPLORATORY: -0.2})}, "outside"),
-            ({"transition": _transition({FLOW: 0.5, EXPLORATORY: 0.4})}, "sum to 1"),
         ],
     )
     def test_refusal(self, overrides, message):
