@@ -155,7 +155,7 @@ def xor_variant_config(seed: int = 0, **overrides) -> SynthConfig:
     Linear weight on the two interacting signals is removed, so a linear
     model sees only what the interaction leaks into single features. At 60
     sessions (seeds 0-5) a fitted logistic model reaches a test ROC-AUC of
-    0.57-0.69, against 0.64-0.72 for the true probabilities.
+    0.54-0.66, against 0.62-0.70 for the true probabilities.
     """
     ground_truth = (
         GroundTruthTerm("acceptance_ratio", 0.25, 0.18, 0.25),

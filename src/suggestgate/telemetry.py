@@ -115,8 +115,8 @@ class BehaviorWindow:
 
     Sums: chars_typed, typing_time_s (at most 60 s), pause_count,
     nav_events, command counters, lines_added. Gauges (last value seen):
-    warnings, errors, and breakpoints, open_files, file_lines, which carry
-    over from the previous window.
+    warnings and errors, per Diagnostic; breakpoints, open_files and
+    file_lines, which carry over from the previous window.
     """
 
     session_id: str
