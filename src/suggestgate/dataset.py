@@ -14,6 +14,7 @@ from typing import Iterable, Sequence
 
 from .errors import SchemaError, SingleClass, TooFewRecords
 from .features import FEATURE_NAMES
+from .telemetry import whole_number
 
 FRACTIONS = (0.64, 0.16, 0.20)
 SPLIT_NAMES = ("train", "validation", "test")
@@ -60,22 +61,15 @@ class SuggestionRecord:
                 raise ValueError("features are not all finite")
             return cls(
                 x=x,
-                y=_whole(obj["y"]),
-                timestamp=_whole(obj.get("timestamp", 0)),
+                y=whole_number(obj["y"]),
+                timestamp=whole_number(obj.get("timestamp", 0)),
                 session_id=str(obj["session_id"]),
-                prompt_length=_whole(obj.get("prompt_length", 0)),
-                suggestion_chars=_whole(obj.get("suggestion_chars", 0)),
-                decision_latency_ms=_whole(obj.get("decision_latency_ms", 0)),
+                prompt_length=whole_number(obj.get("prompt_length", 0)),
+                suggestion_chars=whole_number(obj.get("suggestion_chars", 0)),
+                decision_latency_ms=whole_number(obj.get("decision_latency_ms", 0)),
             )
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise SchemaError(f"bad suggestion record: {exc}") from exc
-
-
-def _whole(value) -> int:
-    """int() raises on a non-finite number; a fraction or a string differs from it."""
-    if value != int(value):
-        raise ValueError(f"expected a whole number, got {value!r}")
-    return int(value)
 
 
 @dataclass(frozen=True)

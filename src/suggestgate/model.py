@@ -66,7 +66,14 @@ class TreeHyper:
 
 @dataclass(frozen=True)
 class AcceptanceModel:
-    """Trained classifier artifact: feature contract, scaling, parameters, tau."""
+    """Trained classifier artifact: feature contract, scaling, parameters, tau.
+
+    Construction never raises: it checks the model once against the one
+    contract (``_check``), fitted, loaded or built by hand. Prediction on a
+    model that breaks it raises ``ModelFormatError``, so the gate fails
+    open, and ``save_model`` refuses it. Later changes to ``parameters`` do
+    not change the scores.
+    """
 
     feature_names: tuple[str, ...]
     mean: tuple[float, ...]
@@ -76,12 +83,11 @@ class AcceptanceModel:
     tau: float = DEFAULT_TAU
 
     def __post_init__(self) -> None:
-        # Standardization as arrays, built once: every prediction needs them.
-        object.__setattr__(self, "_mean", np.asarray(self.mean, dtype=float))
-        object.__setattr__(self, "_std", np.asarray(self.std, dtype=float))
-        object.__setattr__(
-            self, "_logistic", _logistic_parts(self) if self.kind == "logistic" else None
-        )
+        try:
+            checked = _check(self)
+        except ModelFormatError as exc:
+            checked = exc
+        object.__setattr__(self, "_checked", checked)
 
     def with_tau(self, tau: float) -> "AcceptanceModel":
         return replace(self, tau=tau)
@@ -92,29 +98,6 @@ def _standardization(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     std = X.std(axis=0)
     std = np.where(std == 0.0, 1.0, std)
     return mean, std
-
-
-def _logistic_parts(model: AcceptanceModel) -> tuple[np.ndarray, float, tuple] | None:
-    """Weights as an array, bias, and one (mean, std, weight) term per feature.
-
-    None when the parameters do not fit the features, or a std is zero,
-    which Python's float division refuses; predicting with such a model
-    raises ``ModelFormatError``.
-    """
-    try:
-        weights = np.asarray(model.parameters["weights"], dtype=float)
-        bias = float(model.parameters["bias"])
-    except (KeyError, TypeError, ValueError):
-        return None
-    if not weights.shape == model._mean.shape == model._std.shape == (len(model.feature_names),):
-        return None
-    if not model._std.all():
-        return None
-    return weights, bias, tuple(zip(model._mean.tolist(), model._std.tolist(), weights.tolist()))
-
-
-def _standardize(X: np.ndarray, model: AcceptanceModel) -> np.ndarray:
-    return (X - model._mean) / model._std
 
 
 def _require_both_classes(y: np.ndarray) -> None:
@@ -347,6 +330,73 @@ def fit_tree_ensemble(
 # --- prediction --------------------------------------------------------
 
 
+def _table(values, shape: tuple[int, int]) -> np.ndarray:
+    arr = np.array(values, dtype=float)
+    # An ensemble with no stages saves each table as [], which reads as shape (0,).
+    if arr.shape != shape and not (arr.size == 0 and 0 in shape):
+        raise ModelFormatError(f"tree table has shape {arr.shape}, expected {shape}")
+    return arr.reshape(shape)
+
+
+def _check(model: AcceptanceModel) -> tuple[np.ndarray, np.ndarray, tuple | dict]:
+    """Mean, std and the kind's parameters, copied as prediction uses them, or
+    ``ModelFormatError``: one finite mean and std in (0, inf) per feature, a
+    known kind, and finite parameters whose shapes fit the features and depth.
+
+    Logistic parameters: (weights, bias, a (mean, std, weight) term per
+    feature). Trees: the arrays ``_tree_margin`` reads, with feature
+    indices whole and in [0, n_features).
+    """
+    try:
+        n_features = len(model.feature_names)
+        mean = np.array(model.mean, dtype=float)
+        std = np.array(model.std, dtype=float)
+        if not mean.shape == std.shape == (n_features,):
+            raise ModelFormatError("standardization length does not match feature names")
+        if not (np.isfinite(mean).all() and ((0.0 < std) & (std < math.inf)).all()):
+            raise ModelFormatError("standardization has a non-finite mean or a std not in (0, inf)")
+        raw = model.parameters
+        if model.kind == "logistic":
+            weights = np.array(raw["weights"], dtype=float)
+            bias = float(raw["bias"])
+            if weights.shape != (n_features,):
+                raise ModelFormatError("weight vector length does not match feature names")
+            if not (np.isfinite(weights).all() and math.isfinite(bias)):
+                raise ModelFormatError("logistic weights or bias are not finite")
+            terms = tuple(zip(mean.tolist(), std.tolist(), weights.tolist()))
+            return mean, std, (weights, bias, terms)
+        if model.kind != "tree_ensemble":
+            raise ModelFormatError(f"unknown model kind {model.kind!r}")
+        depth = raw["depth"]
+        # 63 bounds the heap's node count to numpy's index range.
+        if type(depth) is not int or not 0 <= depth < 63:
+            raise ModelFormatError(f"tree depth must be an integer in [0, 63), got {depth!r}")
+        base_score = float(raw["base_score"])
+        scale = np.array(raw["scale"], dtype=float)
+        if scale.ndim != 1:
+            raise ModelFormatError(f"tree scales have shape {scale.shape}, expected one per tree")
+        n_trees, n_nodes = len(scale), 2**depth - 1
+        feature = _table(raw["feature"], (n_trees, n_nodes))
+        threshold = _table(raw["threshold"], (n_trees, n_nodes))
+        leaf = _table(raw["leaf"], (n_trees, n_nodes + 1))
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise ModelFormatError(f"model fields missing or malformed: {exc}") from exc
+    if not np.all((feature == np.floor(feature)) & (feature >= 0) & (feature < n_features)):
+        raise ModelFormatError(f"tree feature index outside [0, {n_features})")
+    if not (math.isfinite(base_score) and all(np.isfinite(a).all() for a in (scale, threshold, leaf))):
+        raise ModelFormatError("tree base score, scales, thresholds or leaves are not finite")
+    return mean, std, {"base_score": base_score, "depth": depth, "feature": feature.astype(np.intp),
+                       "threshold": threshold, "leaf": leaf, "scale": scale}
+
+
+def _contract(model: AcceptanceModel) -> tuple[np.ndarray, np.ndarray, tuple | dict]:
+    """The model's ``_check`` result, or its ``ModelFormatError`` raised."""
+    if isinstance(model._checked, ModelFormatError):
+        # Without its old traceback: raising it as stored would grow it each time.
+        raise model._checked.with_traceback(None)
+    return model._checked
+
+
 def _coerce_matrix(model: AcceptanceModel, x) -> np.ndarray:
     if isinstance(x, FeatureVector):
         x = x.values
@@ -387,41 +437,39 @@ def _tree_margin(parameters: dict, Xs: np.ndarray) -> np.ndarray:
 
 
 def predict_proba_batch(model: AcceptanceModel, X) -> np.ndarray:
-    X = _coerce_matrix(model, X)
+    mean, std, parameters = _contract(model)
+    Xs = (_coerce_matrix(model, X) - mean) / std
     if model.kind == "logistic":
-        if model._logistic is None:
-            raise ModelFormatError("logistic parameters do not fit the standardization")
-        weights, bias, _ = model._logistic
-        z = _standardize(X, model) @ weights + bias
-    elif model.kind == "tree_ensemble":
-        z = _tree_margin(model.parameters, _standardize(X, model))
+        weights, bias, _ = parameters
+        z = Xs @ weights + bias
     else:
-        raise ModelFormatError(f"unknown model kind {model.kind!r}")
+        z = _tree_margin(parameters, Xs)
     return _clip_probs(_sigmoid(z))
 
 
 def predict_proba(model: AcceptanceModel, x) -> float:
     """Predicted acceptance probability for one feature vector.
 
-    A logistic model scores a ``FeatureVector``, a sequence or a 1-D array
-    in plain Python: numpy's per-call overhead on one row costs more than
-    its arithmetic. It makes the same checks as ``predict_proba_batch`` and
-    agrees with it to within the rounding of a differently ordered sum.
-    Tree ensembles and 2-D arrays go through ``predict_proba_batch``, and
-    more than one row raises ``FeatureMismatch``. A logistic model's
-    ``parameters`` are read once, when the model is constructed, like
-    ``mean`` and ``std``.
+    A model that broke the contract at construction raises
+    ``ModelFormatError``, whatever the vector. A logistic model scores a
+    ``FeatureVector``, a sequence or a 1-D array in plain Python: numpy's
+    per-call overhead on one row costs more than its arithmetic. It makes
+    the same checks as ``predict_proba_batch`` and agrees with it to within
+    the rounding of a differently ordered sum. Tree ensembles and 2-D
+    arrays go through ``predict_proba_batch``, and more than one row raises
+    ``FeatureMismatch``.
     """
+    _, _, parameters = _contract(model)
     if isinstance(x, FeatureVector):
         x = x.values
     elif isinstance(x, np.ndarray) and x.ndim == 1:
         x = x.tolist()
-    if model._logistic is None or isinstance(x, np.ndarray):
+    if model.kind != "logistic" or isinstance(x, np.ndarray):
         probs = predict_proba_batch(model, x)
         if len(probs) != 1:
             raise FeatureMismatch(f"expected one vector, got {len(probs)} rows")
         return float(probs[0])
-    _, bias, terms = model._logistic
+    _, bias, terms = parameters
     if len(x) != len(terms):
         raise FeatureMismatch(f"vector has {len(x)} features, model expects {len(terms)}")
     z = 0.0
@@ -444,6 +492,8 @@ def predict_proba(model: AcceptanceModel, x) -> float:
 
 
 def save_model(model: AcceptanceModel, path) -> None:
+    """Write the model as JSON; a model that broke the contract raises ``ModelFormatError``."""
+    _contract(model)
     payload = {
         "format_version": MODEL_FORMAT_VERSION,
         "kind": model.kind,
@@ -460,90 +510,32 @@ def save_model(model: AcceptanceModel, path) -> None:
         fh.write("\n")
 
 
-def _table(values, shape: tuple[int, int]) -> np.ndarray:
-    arr = np.asarray(values, dtype=float)
-    # An ensemble with no stages saves each table as [], which reads as shape (0,).
-    if arr.shape != shape and not (arr.size == 0 and 0 in shape):
-        raise ModelFormatError(f"tree table has shape {arr.shape}, expected {shape}")
-    return arr.reshape(shape)
-
-
-def _load_parameters(kind: str, raw: dict, n_features: int) -> dict:
-    """Checked parameters of a model file, trees as numpy arrays."""
-    if kind == "logistic":
-        weights = [float(v) for v in raw["weights"]]
-        bias = float(raw["bias"])
-        if len(weights) != n_features:
-            raise ModelFormatError("weight vector length does not match feature names")
-        if not all(map(math.isfinite, weights + [bias])):
-            raise ModelFormatError("logistic weights or bias are not finite")
-        return {"weights": weights, "bias": bias}
-    if kind != "tree_ensemble":
-        raise ModelFormatError(f"unknown model kind {kind!r}")
-    depth = raw["depth"]
-    # 63 bounds the heap's node count to numpy's index range.
-    if type(depth) is not int or not 0 <= depth < 63:
-        raise ModelFormatError(f"tree depth must be an integer in [0, 63), got {depth!r}")
-    base_score = float(raw["base_score"])
-    scale = np.asarray(raw["scale"], dtype=float)
-    if scale.ndim != 1:
-        raise ModelFormatError(f"tree scales have shape {scale.shape}, expected one per tree")
-    n_trees, n_nodes = len(scale), 2**depth - 1
-    feature = _table(raw["feature"], (n_trees, n_nodes))
-    threshold = _table(raw["threshold"], (n_trees, n_nodes))
-    leaf = _table(raw["leaf"], (n_trees, n_nodes + 1))
-    if not np.all((feature == np.floor(feature)) & (feature >= 0) & (feature < n_features)):
-        raise ModelFormatError(f"tree feature index outside [0, {n_features})")
-    if not (
-        math.isfinite(base_score)
-        and np.isfinite(scale).all()
-        and np.isfinite(threshold).all()
-        and np.isfinite(leaf).all()
-    ):
-        raise ModelFormatError("tree base score, scales, thresholds or leaves are not finite")
-    return {
-        "base_score": base_score,
-        "depth": depth,
-        "feature": feature.astype(np.intp),
-        "threshold": threshold,
-        "leaf": leaf,
-        "scale": scale,
-    }
-
-
 def load_model(path) -> AcceptanceModel:
+    """Read a model file; another version, a τ outside (0, 1) or a broken contract
+    raise ``ModelFormatError``."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             payload = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ModelFormatError(f"model file is not JSON: {exc}") from exc
-    if payload.get("format_version") != MODEL_FORMAT_VERSION:
-        raise ModelFormatError(
-            f"unsupported model format {payload.get('format_version')!r}"
-        )
+    version = payload.get("format_version") if isinstance(payload, dict) else None
+    if version != MODEL_FORMAT_VERSION:
+        raise ModelFormatError(f"unsupported model format {version!r}")
     try:
-        names = tuple(payload["feature_names"])
-        mean = tuple(float(v) for v in payload["standardization"]["mean"])
-        std = tuple(float(v) for v in payload["standardization"]["std"])
-        kind = payload["kind"]
-        tau = float(payload["tau"])
-        if len(mean) != len(names) or len(std) != len(names):
-            raise ModelFormatError("standardization length does not match feature names")
-        if not all(map(math.isfinite, mean)) or not all(0.0 < s < math.inf for s in std):
-            raise ModelFormatError("standardization has a non-finite mean or a std not in (0, inf)")
-        parameters = _load_parameters(kind, payload["parameters"], len(names))
-    except (KeyError, TypeError, ValueError) as exc:
+        model = AcceptanceModel(
+            feature_names=tuple(payload["feature_names"]),
+            mean=tuple(payload["standardization"]["mean"]),
+            std=tuple(payload["standardization"]["std"]),
+            kind=payload["kind"],
+            parameters=payload["parameters"],
+            tau=float(payload["tau"]),
+        )
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ModelFormatError(f"model file missing or malformed fields: {exc}") from exc
-    if not 0.0 < tau < 1.0:
-        raise ModelFormatError(f"tau must be in (0, 1), got {tau}")
-    return AcceptanceModel(
-        feature_names=names,
-        mean=mean,
-        std=std,
-        kind=kind,
-        parameters=parameters,
-        tau=tau,
-    )
+    _contract(model)
+    if not 0.0 < model.tau < 1.0:
+        raise ModelFormatError(f"tau must be in (0, 1), got {model.tau}")
+    return model
 
 
 def require_feature_contract(model: AcceptanceModel) -> None:

@@ -41,15 +41,6 @@ class TelemetryKind(str, Enum):
     __hash__ = str.__hash__
 
 
-class Command(str, Enum):
-    UNDO = "Undo"
-    QUICK_FIX = "QuickFix"
-    TERMINAL_TOGGLE = "TerminalToggle"
-    PALETTE_ACTION = "PaletteAction"
-    COPY = "Copy"
-    PASTE = "Paste"
-
-
 class Label(str, Enum):
     ACCEPTED = "Accepted"
     REJECTED_EXPLICIT = "RejectedExplicit"
@@ -63,9 +54,12 @@ class Label(str, Enum):
     _SUGGESTION_SHOWN, _SUGGESTION_ACCEPTED, _SUGGESTION_REQUESTED, _EDIT_APPLIED,
 ) = TelemetryKind
 _ACCEPTED, _REJECTED_EXPLICIT, _REJECTED_PASSIVE = Label
-_UNDO, _QUICK_FIX, _TERMINAL_TOGGLE = (
-    c.value for c in (Command.UNDO, Command.QUICK_FIX, Command.TERMINAL_TOGGLE)
-)
+
+#: The ``command`` values of a CommandUse that ingest counts apart.
+_UNDO, _QUICK_FIX, _TERMINAL_TOGGLE = "Undo", "QuickFix", "TerminalToggle"
+
+#: Payload counts stay below 2**53, past which floats, as features, skip integers.
+_COUNT_LIMIT = 2**53
 
 #: Events that count as developer interaction for the passive-rejection
 #: timer. Navigation and diagnostics do not reset inactivity.
@@ -101,7 +95,7 @@ class TelemetryEvent:
             kind = TelemetryKind(obj["kind"])
             return cls(
                 session_id=str(obj["session_id"]),
-                timestamp=int(obj["timestamp"]),
+                timestamp=whole_number(obj["timestamp"]),
                 kind=kind,
                 payload=dict(obj.get("payload") or {}),
             )
@@ -163,6 +157,14 @@ class SessionState:
         return self.last_window
 
 
+def whole_number(value) -> int:
+    """``value`` as an int if it is a whole number (3.0 is) other than a bool;
+    else ValueError, TypeError or OverflowError, as ``int()`` raises them."""
+    if isinstance(value, bool) or value != int(value):
+        raise ValueError(f"expected a whole number, got {value!r}")
+    return int(value)
+
+
 def window_start_for(timestamp_ms: int) -> int:
     """Wall-clock aligned window bucket: floor(t / 60 s)."""
     return (timestamp_ms // WINDOW_MS) * WINDOW_MS
@@ -190,8 +192,9 @@ def ingest_event(state: SessionState, event: TelemetryEvent) -> SessionState:
 
     Raises RejectOutOfOrder if the event is older than the session's last
     activity by more than the tolerance (corrupt stream) or falls in a minute
-    before the open window, and SchemaError if a count in the payload is
-    negative or not a finite number; either way the state is left as it was.
+    before the open window, and SchemaError if a count in the payload is not
+    a whole number (``whole_number``) in [0, 2**53); either way the state is
+    left as it was.
     """
     if event.session_id != state.session_id:
         raise ValueError(
@@ -223,10 +226,12 @@ def ingest_event(state: SessionState, event: TelemetryEvent) -> SessionState:
     kind = event.kind
     try:
         if kind is _TYPING_BURST:
-            chars = int(payload.get("chars_typed", 0))
-            duration_ms = int(payload.get("duration_ms", 0))
-            if chars < 0 or duration_ms < 0:
-                raise ValueError("negative count")
+            chars = payload.get("chars_typed", 0)
+            duration_ms = payload.get("duration_ms", 0)
+            if type(chars) is not int or type(duration_ms) is not int:
+                chars, duration_ms = whole_number(chars), whole_number(duration_ms)
+            if not (0 <= chars < _COUNT_LIMIT and 0 <= duration_ms < _COUNT_LIMIT):
+                raise ValueError("count outside [0, 2**53)")
             seconds = duration_ms / 1000.0
             win.chars_typed += chars
             win.typing_time_s = min(win.typing_time_s + seconds, float(WINDOW_SECONDS))
@@ -235,10 +240,12 @@ def ingest_event(state: SessionState, event: TelemetryEvent) -> SessionState:
         elif kind is _PAUSE:
             win.pause_count += 1
         elif kind is _FILE_NAV:
-            open_files = int(payload.get("open_files", win.open_files))
-            file_lines = int(payload.get("file_lines", win.file_lines))
-            if open_files < 0 or file_lines < 0:
-                raise ValueError("negative count")
+            open_files = payload.get("open_files", win.open_files)
+            file_lines = payload.get("file_lines", win.file_lines)
+            if type(open_files) is not int or type(file_lines) is not int:
+                open_files, file_lines = whole_number(open_files), whole_number(file_lines)
+            if not (0 <= open_files < _COUNT_LIMIT and 0 <= file_lines < _COUNT_LIMIT):
+                raise ValueError("count outside [0, 2**53)")
             win.nav_events += 1
             win.open_files, win.file_lines = open_files, file_lines
         elif kind is _COMMAND_USE:
@@ -253,16 +260,21 @@ def ingest_event(state: SessionState, event: TelemetryEvent) -> SessionState:
                 # PaletteAction, Copy, Paste: generic command surface.
                 win.palette_actions += 1
         elif kind is _DIAGNOSTIC:
-            warnings = int(payload.get("warnings", 0))
-            errors = int(payload.get("errors", 0))
-            breakpoints = int(payload.get("breakpoints", win.breakpoints))
-            if warnings < 0 or errors < 0 or breakpoints < 0:
-                raise ValueError("negative count")
+            warnings = payload.get("warnings", 0)
+            errors = payload.get("errors", 0)
+            breakpoints = payload.get("breakpoints", win.breakpoints)
+            if type(warnings) is not int or type(errors) is not int or type(breakpoints) is not int:
+                warnings, errors, breakpoints = map(whole_number, (warnings, errors, breakpoints))
+            if not (0 <= warnings < _COUNT_LIMIT and 0 <= errors < _COUNT_LIMIT
+                    and 0 <= breakpoints < _COUNT_LIMIT):
+                raise ValueError("count outside [0, 2**53)")
             win.warnings, win.errors, win.breakpoints = warnings, errors, breakpoints
         elif kind is _EDIT_APPLIED:
-            lines = int(payload.get("lines_added", 0))
-            if lines < 0:
-                raise ValueError("negative count")
+            lines = payload.get("lines_added", 0)
+            if type(lines) is not int:
+                lines = whole_number(lines)
+            if not 0 <= lines < _COUNT_LIMIT:
+                raise ValueError("count outside [0, 2**53)")
             win.lines_added += lines
     except (TypeError, ValueError, OverflowError) as exc:
         raise SchemaError(f"bad {kind.value} payload: {exc}") from exc

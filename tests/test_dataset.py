@@ -56,6 +56,7 @@ class TestSuggestionRecord:
             ("y", 1.7),
             ("y", "1"),
             ("y", math.inf),
+            ("y", True),
             ("timestamp", math.inf),
             ("timestamp", 1.7),
             ("prompt_length", 2.5),

@@ -12,6 +12,7 @@ from suggestgate import model as model_module
 from suggestgate.dataset import class_weights, stratified_split
 from suggestgate.errors import Divergence, FeatureMismatch, LengthMismatch, ModelFormatError, SingleClass
 from suggestgate.features import N_FEATURES, FeatureVector
+from suggestgate.gate import Decision, Reason, should_trigger
 from suggestgate.model import (
     LOGISTIC_L2,
     MODEL_FORMAT_VERSION,
@@ -676,6 +677,10 @@ def bias_inf(p, _):
     p["bias"] = -math.inf
 
 
+def bias_overflows(p, _):
+    p["bias"] = 10**400  # a JSON integer too large for a float
+
+
 def std_zero(_, payload):
     payload["standardization"]["std"][0] = 0.0
 
@@ -692,7 +697,14 @@ _CORRUPTIONS = [
         feature_out_of_range, threshold_nan, threshold_inf, leaf_nan, scale_inf,
         base_score_nan, std_zero,
     )
-] + [("logistic", c) for c in (weights_nan, bias_inf, mean_nan)]
+] + [("logistic", c) for c in (weights_nan, bias_inf, bias_overflows, mean_nan)]
+
+
+def _small_model(kind: str) -> AcceptanceModel:
+    X, y = xor_data(100, seed=4)
+    if kind == "logistic":
+        return fit_logistic(X, y, (1.0, 1.0), feature_names=["x0", "x1"])
+    return fit_tree_ensemble(X, y, (1.0, 1.0), TreeHyper(n_trees=4, depth=2), ["x0", "x1"])
 
 
 class TestSerialization:
@@ -754,13 +766,8 @@ class TestSerialization:
     def test_corrupt_file_refused(self, tmp_path, kind, corrupt):
         import json
 
-        X, y = xor_data(100, seed=4)
-        if kind == "logistic":
-            model = fit_logistic(X, y, (1.0, 1.0), feature_names=["x0", "x1"])
-        else:
-            model = fit_tree_ensemble(X, y, (1.0, 1.0), TreeHyper(n_trees=4, depth=2), ["x0", "x1"])
         path = tmp_path / "m.json"
-        save_model(model, path)
+        save_model(_small_model(kind), path)
         payload = json.loads(path.read_text())
         load_model(path)  # the intact file loads
         corrupt(payload["parameters"], payload)
@@ -768,11 +775,48 @@ class TestSerialization:
         with pytest.raises(ModelFormatError):
             load_model(path)
 
+    @pytest.mark.parametrize("kind, corrupt", _CORRUPTIONS, ids=[c.__name__ for _, c in _CORRUPTIONS])
+    def test_corrupt_model_in_memory_fails_open(self, tmp_path, kind, corrupt):
+        # The same corruptions, built by hand: construction accepts them, and
+        # the model is then refused wherever it is used.
+        model = _small_model(kind)
+        fields = {
+            "standardization": {"mean": list(model.mean), "std": list(model.std)},
+            "parameters": {key: value.tolist() if isinstance(value, np.ndarray) else value
+                           for key, value in model.parameters.items()},
+        }
+        corrupt(fields["parameters"], fields)
+        broken = AcceptanceModel(model.feature_names, tuple(fields["standardization"]["mean"]),
+                                 tuple(fields["standardization"]["std"]), kind, fields["parameters"])
+        with pytest.raises(ModelFormatError):
+            predict_proba(broken, [0.5, 0.5])
+        decision = should_trigger(broken, [0.5, 0.5], 0.1)
+        assert (decision.decision, decision.reason) == (Decision.TRIGGER, Reason.FAIL_OPEN)
+        with pytest.raises(ModelFormatError):
+            save_model(broken, tmp_path / "m.json")
+        assert not (tmp_path / "m.json").exists()
+
+    @pytest.mark.parametrize("kind", ["logistic", "tree_ensemble"])
+    def test_parameters_are_read_once_at_construction(self, kind):
+        model = _small_model(kind)
+        X_probe, _ = xor_data(20, seed=6)
+        rows = [predict_proba(model, x) for x in X_probe]
+        batch = predict_proba_batch(model, X_probe)
+        for value in model.parameters.values():
+            if isinstance(value, np.ndarray):
+                value[...] = 0
+            elif isinstance(value, list):
+                value[:] = [0.0] * len(value)
+        model.parameters["bias" if kind == "logistic" else "base_score"] = 5.0
+        assert [predict_proba(model, x) for x in X_probe] == rows
+        np.testing.assert_array_equal(predict_proba_batch(model, X_probe), batch)
+
     def test_not_json_refusal(self, tmp_path):
         path = tmp_path / "m.json"
-        path.write_text("definitely : not json")
-        with pytest.raises(ModelFormatError):
-            load_model(path)
+        for text in ("definitely : not json", "[]", "null"):
+            path.write_text(text)
+            with pytest.raises(ModelFormatError):
+                load_model(path)
 
     def test_format_version_constant(self):
         assert MODEL_FORMAT_VERSION.endswith("/2")

@@ -148,6 +148,12 @@ class TestWindowing:
             (TelemetryKind.DIAGNOSTIC, {"errors": -1}),
             (TelemetryKind.DIAGNOSTIC, {"breakpoints": -1}),
             (TelemetryKind.EDIT_APPLIED, {"lines_added": -3}),
+            (TelemetryKind.FILE_NAV, {"open_files": True}),
+            (TelemetryKind.TYPING_BURST, {"chars_typed": "12"}),
+            (TelemetryKind.FILE_NAV, {"file_lines": 3.7}),
+            (TelemetryKind.TYPING_BURST, {"duration_ms": 999.9}),
+            (TelemetryKind.TYPING_BURST, {"chars_typed": 10**400}),
+            (TelemetryKind.EDIT_APPLIED, {"lines_added": 2**53}),
         ],
     )
     def test_bad_numeric_payload_leaves_state_unchanged(self, kind, payload):
@@ -297,7 +303,7 @@ class TestJsonl:
         with pytest.raises(SchemaError):
             parse_event_line('["a","list"]')
 
-    @pytest.mark.parametrize("timestamp", ["Infinity", "-Infinity", "NaN"])
+    @pytest.mark.parametrize("timestamp", ["Infinity", "-Infinity", "NaN", '"12"', "3.7", "true"])
     def test_non_finite_timestamp_raises_schema_error(self, timestamp):
         with pytest.raises(SchemaError):
             parse_event_line(f'{{"session_id":"s","timestamp":{timestamp},"kind":"Pause"}}')
