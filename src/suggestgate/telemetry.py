@@ -58,7 +58,7 @@ _ACCEPTED, _REJECTED_EXPLICIT, _REJECTED_PASSIVE = Label
 #: The ``command`` values of a CommandUse that ingest counts apart.
 _UNDO, _QUICK_FIX, _TERMINAL_TOGGLE = "Undo", "QuickFix", "TerminalToggle"
 
-#: Payload counts stay below 2**53, past which floats, as features, skip integers.
+#: Ingest refuses counts from 2**53 up: features hold counts as floats, which skip integers there.
 _COUNT_LIMIT = 2**53
 
 #: Events that count as developer interaction for the passive-rejection

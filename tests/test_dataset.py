@@ -56,7 +56,6 @@ class TestSuggestionRecord:
             ("y", 1.7),
             ("y", "1"),
             ("y", math.inf),
-            ("y", True),
             ("timestamp", math.inf),
             ("timestamp", 1.7),
             ("prompt_length", 2.5),
@@ -65,6 +64,7 @@ class TestSuggestionRecord:
             ("x", [math.inf] + [0.0] * (N_FEATURES - 1)),
             ("x", [0.0] * (N_FEATURES - 1) + [math.nan]),
             ("session_id", None),
+            ("y", True),
         ],
     )
     def test_bad_value_raises_schema_error(self, field, value):
