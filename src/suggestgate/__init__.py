@@ -9,7 +9,7 @@ threshold tuning and the gate decision, plus the offline tools around it
 """
 
 from .complexity import ComplexityMethod, ComplexityReport, task_complexity
-from .dataset import SuggestionRecord, Split, class_weights, stratified_split
+from .dataset import SuggestionRecord, Split, class_weights, records_from_events, stratified_split
 from .features import FEATURE_NAMES, FeatureVector, build_feature_vector
 from .gate import Decision, GateDecision, Reason, select_threshold, should_trigger
 from .model import (
@@ -26,7 +26,6 @@ from .telemetry import (
     TelemetryEvent,
     TelemetryKind,
     ingest_event,
-    label_suggestion,
 )
 
 __version__ = "0.1.0"
@@ -51,9 +50,9 @@ __all__ = [
     "build_feature_vector",
     "class_weights",
     "ingest_event",
-    "label_suggestion",
     "load_model",
     "predict_proba",
+    "records_from_events",
     "save_model",
     "select_threshold",
     "should_trigger",

@@ -1,4 +1,5 @@
-"""Labeled suggestion records and the train/validation/test split protocol.
+"""Labeled suggestion records, built from an event log, and the
+train/validation/test split protocol.
 
 The split fractions are fixed at 64/16/20 (train/validation/test). Every
 split keeps sessions whole, stratified by each session's accepted count;
@@ -13,8 +14,8 @@ from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from .errors import SchemaError, SingleClass, TooFewRecords
-from .features import FEATURE_NAMES
-from .telemetry import whole_number
+from .features import FEATURE_NAMES, build_feature_vector
+from .telemetry import SessionState, TelemetryEvent, TelemetryKind, ingest_event, whole_number
 
 FRACTIONS = (0.64, 0.16, 0.20)
 SPLIT_NAMES = ("train", "validation", "test")
@@ -54,22 +55,69 @@ class SuggestionRecord:
     @classmethod
     def from_json_dict(cls, obj: dict) -> "SuggestionRecord":
         """Read a record; a missing ``x``, ``y`` or ``session_id``, non-finite
-        features or fractional integers raise ``SchemaError``."""
+        features, fractional integers or a ``session_id`` that is not a
+        string raise ``SchemaError``."""
         try:
             x = tuple(float(v) for v in obj["x"])
             if not all(map(math.isfinite, x)):
                 raise ValueError("features are not all finite")
+            if not isinstance(obj["session_id"], str):
+                raise TypeError(f"session_id must be a string, got {obj['session_id']!r}")
             return cls(
                 x=x,
                 y=whole_number(obj["y"]),
                 timestamp=whole_number(obj.get("timestamp", 0)),
-                session_id=str(obj["session_id"]),
+                session_id=obj["session_id"],
                 prompt_length=whole_number(obj.get("prompt_length", 0)),
                 suggestion_chars=whole_number(obj.get("suggestion_chars", 0)),
                 decision_latency_ms=whole_number(obj.get("decision_latency_ms", 0)),
             )
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise SchemaError(f"bad suggestion record: {exc}") from exc
+
+
+def records_from_events(events: Iterable[TelemetryEvent]) -> tuple[list[SuggestionRecord], list[str]]:
+    """Label the suggestion requests of an event log by ingest's lifecycle rule.
+
+    The events stream through ``ingest_event``, one ``SessionState`` per
+    session, and each request's vector is built before the request is
+    ingested, as the gate builds it. A ``SuggestionShown`` shows the
+    session's latest request not yet shown and gives its ``suggestion_chars``
+    and ``decision_latency_ms``. That suggestion resolves at the event that
+    moves the session's ``accepted_count`` (y = 1) or ``rejected_count``
+    (y = 0). Returns the records in request order, and the ids of the
+    requests never shown or still pending when the log ends. A request whose
+    ``suggestion_id`` is not a string or repeats an earlier one, or whose
+    ``task_complexity`` is not a finite number (a bool or a string is not),
+    raises ``SchemaError``.
+    """
+    states: dict[str, SessionState] = {}
+    requests: dict[str, dict] = {}  # suggestion_id -> record fields, in request order
+    unshown: dict[str, str] = {}  # session -> its latest request not yet shown
+    showing: dict[str, str] = {}  # session -> the request whose suggestion is pending
+    for event in events:
+        session, payload = event.session_id, event.payload
+        state = states.setdefault(session, SessionState(session))
+        if event.kind is TelemetryKind.SUGGESTION_REQUESTED:
+            sid, complexity = payload.get("suggestion_id"), payload.get("task_complexity")
+            if (not isinstance(sid, str) or sid in requests or isinstance(complexity, bool)
+                    or not isinstance(complexity, (int, float)) or not math.isfinite(complexity)):
+                raise SchemaError(f"request needs a new string suggestion_id and a finite "
+                                  f"task_complexity, got {sid!r} and {complexity!r}")
+            unshown[session] = sid
+            requests[sid] = {"x": build_feature_vector(state, complexity, at=event.timestamp).values,
+                             "timestamp": event.timestamp, "session_id": session,
+                             "prompt_length": payload.get("prompt_length", 0)}
+        counts = state.accepted_count, state.rejected_count
+        ingest_event(state, event)
+        if (state.accepted_count, state.rejected_count) != counts and session in showing:
+            requests[showing.pop(session)]["y"] = int(state.accepted_count > counts[0])
+        if event.kind is TelemetryKind.SUGGESTION_SHOWN and session in unshown:
+            showing[session] = sid = unshown.pop(session)
+            requests[sid].update(suggestion_chars=payload.get("suggestion_chars", 0),
+                                 decision_latency_ms=payload.get("decision_latency_ms", 0))
+    records = [SuggestionRecord(**fields) for fields in requests.values() if "y" in fields]
+    return records, [sid for sid, fields in requests.items() if "y" not in fields]
 
 
 @dataclass(frozen=True)

@@ -14,10 +14,6 @@ class RejectOutOfOrder(SuggestGateError):
     """Event timestamp precedes session activity beyond tolerance (corrupt stream)."""
 
 
-class PendingLabel(SuggestGateError):
-    """Suggestion outcome not yet decidable: stream ended before the passive timeout."""
-
-
 # --- dataset -----------------------------------------------------------
 
 
@@ -78,4 +74,4 @@ class InvalidConfig(SuggestGateError):
 
 
 class SchemaError(SuggestGateError):
-    """A log line does not parse as the event, record or label it should hold."""
+    """A log line or event does not hold the event or record it should."""

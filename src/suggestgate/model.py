@@ -492,16 +492,19 @@ def predict_proba(model: AcceptanceModel, x) -> float:
 
 
 def save_model(model: AcceptanceModel, path) -> None:
-    """Write the model as JSON; a model that broke the contract raises ``ModelFormatError``."""
-    _contract(model)
+    """Write the model's checked copies as JSON, so the file scores as the model
+    does; a model that broke the contract raises ``ModelFormatError``."""
+    mean, std, parameters = _contract(model)
+    if model.kind == "logistic":
+        parameters = {"weights": parameters[0], "bias": parameters[1]}
     payload = {
         "format_version": MODEL_FORMAT_VERSION,
         "kind": model.kind,
         "feature_names": list(model.feature_names),
-        "standardization": {"mean": list(model.mean), "std": list(model.std)},
+        "standardization": {"mean": mean.tolist(), "std": std.tolist()},
         "parameters": {
             key: value.tolist() if isinstance(value, np.ndarray) else value
-            for key, value in model.parameters.items()
+            for key, value in parameters.items()
         },
         "tau": model.tau,
     }

@@ -12,23 +12,15 @@ rate (0.178-0.182 for 0.18 at 100 sessions, seeds 0-9).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dataset import SuggestionRecord
-from .errors import InvalidConfig, SchemaError
+from .dataset import SuggestionRecord, records_from_events
+from .errors import InvalidConfig
 from .features import FEATURE_NAMES, build_feature_vector
 from .model import _sigmoid
-from .telemetry import (
-    SessionState,
-    TelemetryEvent,
-    TelemetryKind,
-    ingest_event,
-    read_jsonl,
-    record_outcome,
-    write_jsonl,
-)
+from .telemetry import SessionState, TelemetryEvent, TelemetryKind, ingest_event, write_jsonl
 
 FLOW = "flow"
 EXPLORATORY = "exploratory"
@@ -171,7 +163,6 @@ def xor_variant_config(seed: int = 0, **overrides) -> SynthConfig:
 @dataclass
 class SynthResult:
     events: list[TelemetryEvent]
-    labels: list[dict]
     records: list[SuggestionRecord]
     bias: float
     realized_acceptance: float
@@ -197,13 +188,14 @@ def _true_logit(config: SynthConfig, values: dict[str, float], bias: float) -> f
     return z
 
 
-def _draw(config: SynthConfig) -> tuple[list[TelemetryEvent], dict[str, dict]]:
+def _draw(config: SynthConfig) -> tuple[list[TelemetryEvent], dict[str, tuple[float, dict]]]:
     """All behavioural randomness, outcome uniforms included: the events
-    sorted by timestamp (ties in emission order) and each request's metadata."""
+    sorted by timestamp (ties in emission order) and, per request id, its
+    outcome uniform and the payload of its SuggestionShown."""
     rng = np.random.default_rng(config.seed)
     state_names = sorted(DEFAULT_STATES)
     events: list[TelemetryEvent] = []
-    requests: dict[str, dict] = {}
+    requests: dict[str, tuple[float, dict]] = {}
 
     def emit(session: str, t: int, kind: TelemetryKind, payload: dict) -> None:
         events.append(TelemetryEvent(session, int(t), kind, payload))
@@ -273,59 +265,44 @@ def _draw(config: SynthConfig) -> tuple[list[TelemetryEvent], dict[str, dict]]:
                     "prompt_length": int(rng.integers(20, 800)),
                 }
                 emit(session, t, TelemetryKind.SUGGESTION_REQUESTED, payload)
-                requests[sid] = {
-                    "outcome_draw": float(rng.random()),
+                requests[sid] = (float(rng.random()), {
+                    "suggestion_id": sid,
                     "suggestion_chars": int(rng.integers(10, 400)),
                     "decision_latency_ms": int(rng.integers(300, 12_000)),
-                }
+                })
+        # An idle tail: 30 s without interaction resolves the last suggestion.
+        emit(session, session_start + minutes * 60_000 + 30_000, TelemetryKind.PAUSE, {})
 
     events.sort(key=lambda event: event.timestamp)
     return events, requests
 
 
-def _stream(config: SynthConfig, draw, bias: float) -> SynthResult:
-    """Stream a draw through ingest and features, sampling each outcome
-    from the true logit at ``bias`` and recording it before the next event."""
-    events, request_meta = draw
+def _stream(config: SynthConfig, draw, bias: float) -> tuple[list[TelemetryEvent], int]:
+    """Stream a draw through ingest and features and log each outcome as events.
+
+    Each request is followed by its SuggestionShown and, if the outcome drawn
+    from the true logit at ``bias`` is an accept, its SuggestionAccepted, both
+    at the request's timestamp. Returns the log and its accepted count.
+    """
+    events, requests = draw
     states: dict[str, SessionState] = {}
-    labels: list[dict] = []
-    records: list[SuggestionRecord] = []
+    log: list[TelemetryEvent] = []
     accepted_total = 0
     for event in events:
-        state = states.get(event.session_id)
-        if state is None:
-            state = states[event.session_id] = SessionState(event.session_id)
+        state = states.setdefault(event.session_id, SessionState(event.session_id))
+        logged = [event]
         if event.kind is TelemetryKind.SUGGESTION_REQUESTED:
-            meta = request_meta[event.payload["suggestion_id"]]
-            complexity = float(event.payload["task_complexity"])
-            fv = build_feature_vector(state, complexity, at=event.timestamp)
-            p_true = float(_sigmoid(_true_logit(config, fv.as_dict(), bias)))
-            accepted = meta["outcome_draw"] < p_true
-            accepted_total += int(accepted)
-            ingest_event(state, event)
-            record_outcome(state, accepted)
-            labels.append({
-                "suggestion_id": event.payload["suggestion_id"],
-                "session_id": event.session_id,
-                "timestamp": event.timestamp,
-                "accepted": bool(accepted),
-                "p_true": p_true,
-            })
-            records.append(SuggestionRecord(
-                x=fv.values,
-                y=int(accepted),
-                timestamp=event.timestamp,
-                session_id=event.session_id,
-                prompt_length=int(event.payload["prompt_length"]),
-                suggestion_chars=meta["suggestion_chars"],
-                decision_latency_ms=meta["decision_latency_ms"],
-            ))
-        else:
-            ingest_event(state, event)
-
-    return SynthResult(events=events, labels=labels, records=records, bias=bias,
-                       realized_acceptance=accepted_total / len(labels),
-                       config=config)
+            outcome_draw, shown = requests[event.payload["suggestion_id"]]
+            fv = build_feature_vector(state, event.payload["task_complexity"], at=event.timestamp)
+            logged.append(replace(event, kind=TelemetryKind.SUGGESTION_SHOWN, payload=shown))
+            if outcome_draw < float(_sigmoid(_true_logit(config, fv.as_dict(), bias))):
+                accepted_total += 1
+                logged.append(replace(event, kind=TelemetryKind.SUGGESTION_ACCEPTED,
+                                      payload={"suggestion_id": shown["suggestion_id"]}))
+        for entry in logged:
+            ingest_event(state, entry)
+        log.extend(logged)
+    return log, accepted_total
 
 
 _RATE_TOLERANCE = 0.002
@@ -333,16 +310,18 @@ _MAX_PASSES = 24
 
 
 def synth_sessions(config: SynthConfig) -> SynthResult:
-    """Generate telemetry, ground-truth labels, and training records.
+    """Generate telemetry with every outcome logged, and its training records.
 
     Deterministic given the config seed (byte-identical logs). Behaviour is
     drawn once, then the intercept is bisected over stream passes of that
-    draw until ``realized_acceptance`` is within 0.002 of ``base_acceptance``:
-    with the outcome uniforms fixed, a higher intercept only adds accepts.
-    The bracket is the base rate's logit +- the most the truth's terms can
-    add. At a few sessions an accept feeds back (``acceptance_ratio``) and
-    the rate can jump past the tolerance; after 24 passes, which narrow the
-    bracket 2**23-fold, the pass closest to the base rate is returned.
+    draw until the realized acceptance rate is within 0.002 of
+    ``base_acceptance``: with the outcome uniforms fixed, a higher intercept
+    only adds accepts. The bracket is the base rate's logit +- the most the
+    truth's terms can add. At a few sessions an accept feeds back
+    (``acceptance_ratio``) and the rate can jump past the tolerance; after 24
+    passes, which narrow the bracket 2**23-fold, the pass closest to the base
+    rate is kept. Its log becomes the records through
+    ``records_from_events``, as any event log does.
     """
     config.validate()
     draw = _draw(config)
@@ -354,17 +333,21 @@ def synth_sessions(config: SynthConfig) -> SynthResult:
     lo, hi = centre - span, centre + span
     best = None
     for _ in range(_MAX_PASSES):
-        result = _stream(config, draw, 0.5 * (lo + hi))
-        miss = result.realized_acceptance - target
-        if best is None or abs(miss) < abs(best.realized_acceptance - target):
-            best = result
-        if abs(miss) <= _RATE_TOLERANCE:
+        bias = 0.5 * (lo + hi)
+        log, accepted = _stream(config, draw, bias)
+        rate = accepted / len(draw[1])
+        if best is None or abs(rate - target) < abs(best[0] - target):
+            best = rate, bias, log
+        if abs(rate - target) <= _RATE_TOLERANCE:
             break
-        if miss < 0:
-            lo = result.bias
+        if rate < target:
+            lo = bias
         else:
-            hi = result.bias
-    return best
+            hi = bias
+    rate, bias, log = best
+    records, _ = records_from_events(log)
+    return SynthResult(events=log, records=records, bias=bias, realized_acceptance=rate,
+                       config=config)
 
 
 def ground_truth_scores(config: SynthConfig, records, bias: float) -> np.ndarray:
@@ -374,18 +357,6 @@ def ground_truth_scores(config: SynthConfig, records, bias: float) -> np.ndarray
     ]))
 
 
-def write_synth_outputs(result: SynthResult, events_path, labels_path, records_path) -> None:
+def write_synth_outputs(result: SynthResult, events_path, records_path) -> None:
     write_jsonl((event.to_json_dict() for event in result.events), events_path)
-    write_jsonl(result.labels, labels_path)
     write_jsonl((record.to_json_dict() for record in result.records), records_path)
-
-
-def read_labels_jsonl(path) -> dict[str, bool]:
-    """suggestion_id -> accepted map from a labels file; SchemaError per bad line."""
-    outcomes: dict[str, bool] = {}
-    for obj in read_jsonl(path):
-        accepted = obj.get("accepted")
-        if "suggestion_id" not in obj or not isinstance(accepted, bool):
-            raise SchemaError(f"bad label: needs suggestion_id and a boolean accepted, got {obj}")
-        outcomes[str(obj["suggestion_id"])] = accepted
-    return outcomes

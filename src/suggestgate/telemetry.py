@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Iterator, Optional
 
-from .errors import PendingLabel, RejectOutOfOrder, SchemaError
+from .errors import RejectOutOfOrder, SchemaError
 
 WINDOW_SECONDS = 60
 WINDOW_MS = WINDOW_SECONDS * 1000
@@ -93,8 +93,10 @@ class TelemetryEvent:
         """Build an event from a decoded JSON object; unknown fields ignored."""
         try:
             kind = TelemetryKind(obj["kind"])
+            if not isinstance(obj["session_id"], str):
+                raise TypeError(f"session_id must be a string, got {obj['session_id']!r}")
             return cls(
-                session_id=str(obj["session_id"]),
+                session_id=obj["session_id"],
                 timestamp=whole_number(obj["timestamp"]),
                 kind=kind,
                 payload=dict(obj.get("payload") or {}),
@@ -313,27 +315,6 @@ def record_outcome(state: SessionState, accepted: bool) -> None:
         state.accepted_count += 1
     else:
         state.rejected_count += 1
-
-
-def label_suggestion(shown_at: int, later_events: Iterable[TelemetryEvent]) -> Label:
-    """Decide a shown suggestion's terminal label from the events after it.
-
-    The rule is ingest's (``_pending_label``): accepted if a
-    SuggestionAccepted comes first; explicitly rejected if a new request or
-    a newly shown suggestion comes first; passively rejected once 30 s pass
-    without interaction. Raises PendingLabel when the stream ends before any
-    of those conditions.
-    """
-    anchor = shown_at
-    for event in later_events:
-        if event.timestamp < shown_at:
-            raise ValueError("later_events must not precede shown_at")
-        label = _pending_label(anchor, event.kind, event.timestamp)
-        if label is not None:
-            return label
-        if event.kind in _ACTIVITY_KINDS:
-            anchor = event.timestamp
-    raise PendingLabel(f"stream ended before the suggestion shown at {shown_at} resolved")
 
 
 def _json_object(line: str) -> dict:

@@ -5,11 +5,14 @@ import random
 
 import pytest
 
-from suggestgate.dataset import SuggestionRecord, class_weights, stratified_split
+from suggestgate.dataset import SuggestionRecord, class_weights, records_from_events, stratified_split
 from suggestgate.errors import SchemaError, SingleClass, TooFewRecords
 from suggestgate.features import N_FEATURES
 from suggestgate.synth import SynthConfig, synth_sessions
-from suggestgate.telemetry import read_jsonl, write_jsonl
+from suggestgate.telemetry import TelemetryEvent, TelemetryKind, read_jsonl, write_jsonl
+
+#: Stands for a field left out of a JSON object.
+MISSING = object()
 
 
 def make_records(n_pos: int, n_neg: int, sessions: int = 8) -> list[SuggestionRecord]:
@@ -63,20 +66,51 @@ class TestSuggestionRecord:
             ("decision_latency_ms", 100.25),
             ("x", [math.inf] + [0.0] * (N_FEATURES - 1)),
             ("x", [0.0] * (N_FEATURES - 1) + [math.nan]),
+            ("session_id", MISSING),
             ("session_id", None),
+            ("session_id", [1, 2]),
+            ("session_id", 7),
             ("y", True),
         ],
     )
     def test_bad_value_raises_schema_error(self, field, value):
         # json.loads reads a JSON Infinity as math.inf, and NaN as math.nan.
-        # None stands for a missing field.
         obj = make_records(1, 0)[0].to_json_dict()
-        if value is None:
+        if value is MISSING:
             del obj[field]
         else:
             obj[field] = value
         with pytest.raises(SchemaError):
             SuggestionRecord.from_json_dict(obj)
+
+
+def request(t: int, **payload) -> TelemetryEvent:
+    return TelemetryEvent("s1", t, TelemetryKind.SUGGESTION_REQUESTED, payload)
+
+
+class TestRecordsFromEvents:
+    @pytest.mark.parametrize("suggestion_id", [MISSING, None, 7, ["a"]])
+    def test_suggestion_id_not_a_string_raises(self, suggestion_id):
+        payload = {"task_complexity": 0.5}
+        if suggestion_id is not MISSING:
+            payload["suggestion_id"] = suggestion_id
+        with pytest.raises(SchemaError):
+            records_from_events([request(0, **payload)])
+
+    def test_repeated_suggestion_id_raises(self):
+        shown = TelemetryEvent("s1", 0, TelemetryKind.SUGGESTION_SHOWN)
+        events = [request(0, suggestion_id="a", task_complexity=0.5), shown,
+                  request(1_000, suggestion_id="a", task_complexity=0.5)]
+        with pytest.raises(SchemaError):
+            records_from_events(events)
+
+    @pytest.mark.parametrize("complexity", [MISSING, None, math.nan, math.inf, "0.5", True])
+    def test_task_complexity_not_a_finite_number_raises(self, complexity):
+        payload = {"suggestion_id": "a"}
+        if complexity is not MISSING:
+            payload["task_complexity"] = complexity
+        with pytest.raises(SchemaError):
+            records_from_events([request(0, **payload)])
 
 
 class TestStratifiedSplit:

@@ -811,6 +811,15 @@ class TestSerialization:
         assert [predict_proba(model, x) for x in X_probe] == rows
         np.testing.assert_array_equal(predict_proba_batch(model, X_probe), batch)
 
+    @pytest.mark.parametrize("kind", ["logistic", "tree_ensemble"])
+    def test_save_writes_the_parameters_the_model_scores_with(self, kind, tmp_path):
+        model = _small_model(kind)
+        model.parameters["bias" if kind == "logistic" else "base_score"] = math.nan
+        save_model(model, tmp_path / "m.json")
+        X_probe, _ = xor_data(20, seed=6)
+        np.testing.assert_array_equal(predict_proba_batch(load_model(tmp_path / "m.json"), X_probe),
+                                      predict_proba_batch(model, X_probe))
+
     def test_not_json_refusal(self, tmp_path):
         path = tmp_path / "m.json"
         for text in ("definitely : not json", "[]", "null"):

@@ -2,9 +2,9 @@ from __future__ import annotations
 
 import pytest
 
-from suggestgate.dataset import SuggestionRecord, class_weights, stratified_split
+from suggestgate.dataset import SuggestionRecord, class_weights, records_from_events, stratified_split
 from suggestgate import synth
-from suggestgate.errors import InvalidConfig, SchemaError
+from suggestgate.errors import InvalidConfig
 from suggestgate.evaluation import roc_auc
 from suggestgate.model import fit_logistic, fit_tree_ensemble, predict_proba_batch, split_to_arrays
 from suggestgate.synth import (
@@ -12,12 +12,11 @@ from suggestgate.synth import (
     _draw,
     _stream,
     ground_truth_scores,
-    read_labels_jsonl,
     synth_sessions,
     write_synth_outputs,
     xor_variant_config,
 )
-from suggestgate.telemetry import TelemetryEvent, read_jsonl
+from suggestgate.telemetry import TelemetryEvent, TelemetryKind, read_jsonl, write_jsonl
 
 SMALL_CONFIGS = pytest.mark.parametrize(
     "config",
@@ -29,43 +28,44 @@ SMALL_CONFIGS = pytest.mark.parametrize(
 class TestOutputs:
     def test_round_trip(self, tmp_path):
         result = synth_sessions(SynthConfig(n_sessions=2, mean_session_minutes=6))
-        events, labels, records = (tmp_path / n for n in ("e.jsonl", "l.jsonl", "r.jsonl"))
-        write_synth_outputs(result, events, labels, records)
-        assert result.labels
-        assert list(read_jsonl(labels)) == result.labels
-        assert read_labels_jsonl(labels) == {
-            label["suggestion_id"]: label["accepted"] for label in result.labels
-        }
+        events, records = tmp_path / "e.jsonl", tmp_path / "r.jsonl"
+        write_synth_outputs(result, events, records)
+        assert result.records
         assert [TelemetryEvent.from_json_dict(o) for o in read_jsonl(events)] == result.events
         assert [SuggestionRecord.from_json_dict(o) for o in read_jsonl(records)] == result.records
 
-    @pytest.mark.parametrize(
-        "line",
-        [
-            '{"suggestion_id": "a", "accepted": tru',
-            '["a", true]',
-            '{"accepted": true}',
-            '{"suggestion_id": "a"}',
-            '{"suggestion_id": "a", "accepted": "yes"}',
-        ],
-    )
-    def test_corrupt_label_line_raises_schema_error(self, tmp_path, line):
-        path = tmp_path / "labels.jsonl"
-        path.write_text('{"suggestion_id": "ok", "accepted": false}\n' + line + "\n")
-        with pytest.raises(SchemaError):
-            read_labels_jsonl(path)
+    def test_events_file_rebuilds_the_records_file(self, tmp_path):
+        # The log carries every outcome: the records come from it alone.
+        events, records, rebuilt = (tmp_path / n for n in ("e.jsonl", "r.jsonl", "rebuilt.jsonl"))
+        write_synth_outputs(synth_sessions(SynthConfig(n_sessions=8, seed=1)), events, records)
+        rebuilt_records, unresolved = records_from_events(
+            TelemetryEvent.from_json_dict(o) for o in read_jsonl(events)
+        )
+        write_jsonl((record.to_json_dict() for record in rebuilt_records), rebuilt)
+        assert unresolved == []
+        assert rebuilt.read_bytes() == records.read_bytes()
+
+
+def _accepted_ids(log) -> set:
+    return {e.payload["suggestion_id"] for e in log if e.kind is TelemetryKind.SUGGESTION_ACCEPTED}
 
 
 class TestGroundTruth:
     @SMALL_CONFIGS
-    def test_labels_carry_the_oracle_score(self, config):
+    def test_each_label_is_its_draw_below_the_oracle_score(self, config):
+        # Ties the truth to the record's own vector: the stream drew each
+        # outcome from the vector that the log rebuilds.
         result = synth_sessions(config)
+        requests = _draw(config)[1]
+        draws = [requests[e.payload["suggestion_id"]][0] for e in result.events
+                 if e.kind is TelemetryKind.SUGGESTION_REQUESTED]
         oracle = ground_truth_scores(config, result.records, result.bias)
-        assert [label["p_true"] for label in result.labels] == oracle.tolist()
+        assert len(result.records) == len(draws)
+        assert [r.y for r in result.records] == [int(d < p) for d, p in zip(draws, oracle)]
 
     @SMALL_CONFIGS
     def test_two_runs_write_identical_files(self, config, tmp_path):
-        runs = [[tmp_path / f"{run}-{name}.jsonl" for name in ("e", "l", "r")] for run in "ab"]
+        runs = [[tmp_path / f"{run}-{name}.jsonl" for name in ("e", "r")] for run in "ab"]
         for paths in runs:
             write_synth_outputs(synth_sessions(config), *paths)
         for a, b in zip(*runs):
@@ -117,13 +117,14 @@ class TestCalibration:
         assert abs(result.realized_acceptance - base) <= 0.005
 
     def test_stream_passes_share_the_draw_and_a_higher_bias_only_adds_accepts(self):
-        # Bisection on the bias needs the accepted set to grow with it.
+        # Bisection on the bias needs the accepted set to grow with it. Apart
+        # from the SuggestionAccepted events, every pass logs the same events.
         config = SynthConfig(n_sessions=30, seed=3)
         draw = _draw(config)
-        results = [_stream(config, draw, bias) for bias in (-4.0, -3.0, -2.5, -2.0, -1.0)]
-        accepted = [{label["suggestion_id"] for label in r.labels if label["accepted"]}
-                    for r in results]
-        for lower, higher in zip(results, results[1:]):
-            assert lower.events == higher.events
+        logs = [_stream(config, draw, bias)[0] for bias in (-4.0, -3.0, -2.5, -2.0, -1.0)]
+        shared = [[e for e in log if e.kind is not TelemetryKind.SUGGESTION_ACCEPTED] for log in logs]
+        accepted = [_accepted_ids(log) for log in logs]
+        for lower, higher in zip(shared, shared[1:]):
+            assert lower == higher
         for lower, higher in zip(accepted, accepted[1:]):
             assert lower < higher

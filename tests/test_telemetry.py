@@ -1,20 +1,20 @@
 from __future__ import annotations
 
 import copy
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from suggestgate.errors import PendingLabel, RejectOutOfOrder, SchemaError
+from suggestgate.dataset import records_from_events
+from suggestgate.errors import RejectOutOfOrder, SchemaError
 from suggestgate.telemetry import (
     OUT_OF_ORDER_TOLERANCE_MS,
-    Label,
     SessionState,
     TelemetryEvent,
     TelemetryKind,
     ingest_event,
-    label_suggestion,
     parse_event_line,
     read_jsonl,
     record_outcome,
@@ -215,67 +215,84 @@ class TestSessionCounters:
         assert (state.accepted_count, state.rejected_count, state.suggestions_seen) == (1, 1, 2)
 
 
+def request(t: int, suggestion_id: str) -> TelemetryEvent:
+    return ev(TelemetryKind.SUGGESTION_REQUESTED, t, suggestion_id=suggestion_id, task_complexity=0.5)
+
+
+def first_outcome(later: list) -> int | None:
+    """The label of a request shown at 0 and followed by ``later``; None while it is pending."""
+    records, unresolved = records_from_events(
+        [request(0, "r0"), ev(TelemetryKind.SUGGESTION_SHOWN, 0), *later]
+    )
+    if unresolved[:1] == ["r0"]:
+        return None
+    assert records[0].timestamp == 0
+    return records[0].y
+
+
 class TestLabeling:
     def test_accept_before_new_request(self):
         later = [ev(TelemetryKind.SUGGESTION_ACCEPTED, 4_000)]
-        assert label_suggestion(0, later) is Label.ACCEPTED
+        assert first_outcome(later) == 1
 
     def test_new_request_is_explicit_rejection(self):
-        later = [ev(TelemetryKind.SUGGESTION_REQUESTED, 10_000)]
-        assert label_suggestion(0, later) is Label.REJECTED_EXPLICIT
+        later = [request(10_000, "r1")]
+        assert first_outcome(later) == 0
 
     def test_newly_shown_suggestion_is_explicit_rejection(self):
         later = [
             ev(TelemetryKind.SUGGESTION_SHOWN, 5_000, suggestion_id="b"),
             ev(TelemetryKind.SUGGESTION_ACCEPTED, 6_000, suggestion_id="b"),
         ]
-        assert label_suggestion(0, later) is Label.REJECTED_EXPLICIT
+        assert first_outcome(later) == 0
 
     def test_silence_is_passive_rejection(self):
         later = [ev(TelemetryKind.FILE_NAV, 31_000)]
-        assert label_suggestion(0, later) is Label.REJECTED_PASSIVE
+        assert first_outcome(later) == 0
 
     def test_late_accept_already_passively_rejected(self):
         later = [ev(TelemetryKind.SUGGESTION_ACCEPTED, 31_000)]
-        assert label_suggestion(0, later) is Label.REJECTED_PASSIVE
+        assert first_outcome(later) == 0
 
     def test_activity_resets_inactivity_timer(self):
         later = [
             typing(20_000),
             ev(TelemetryKind.SUGGESTION_ACCEPTED, 45_000),
         ]
-        assert label_suggestion(0, later) is Label.ACCEPTED
+        assert first_outcome(later) == 1
 
     def test_navigation_does_not_reset_timer(self):
         later = [
             ev(TelemetryKind.FILE_NAV, 20_000),
             ev(TelemetryKind.SUGGESTION_ACCEPTED, 45_000),
         ]
-        assert label_suggestion(0, later) is Label.REJECTED_PASSIVE
+        assert first_outcome(later) == 0
 
     def test_short_stream_is_pending(self):
-        with pytest.raises(PendingLabel):
-            label_suggestion(0, [typing(5_000)])
+        stream = [request(0, "r0"), ev(TelemetryKind.SUGGESTION_SHOWN, 0), typing(5_000)]
+        assert records_from_events(stream) == ([], ["r0"])
 
     def test_empty_stream_is_pending(self):
-        with pytest.raises(PendingLabel):
-            label_suggestion(0, [])
+        stream = [request(0, "r0"), ev(TelemetryKind.SUGGESTION_SHOWN, 0)]
+        assert records_from_events(stream) == ([], ["r0"])
 
     def test_trailing_silence_is_passive(self):
         later = [typing(1_000), ev(TelemetryKind.FILE_NAV, 35_000)]
-        assert label_suggestion(0, later) is Label.REJECTED_PASSIVE
+        assert first_outcome(later) == 0
 
     def test_deterministic(self):
-        later = [typing(3_000), ev(TelemetryKind.SUGGESTION_REQUESTED, 8_000)]
-        first = label_suggestion(0, list(later))
-        assert all(label_suggestion(0, list(later)) is first for _ in range(5))
+        stream = [request(0, "r0"), ev(TelemetryKind.SUGGESTION_SHOWN, 0), typing(3_000),
+                  request(8_000, "r1")]
+        records, unresolved = records_from_events(stream)
+        assert ([r.y for r in records], unresolved) == ([0], ["r1"])
+        assert all(records_from_events(list(stream)) == (records, unresolved) for _ in range(5))
 
     def test_totality_with_quiet_tail(self):
         # Any stream whose tail holds >= 30 s with no typing/command
-        # interaction labels without Pending.
+        # interaction labels the suggestion; none stays pending.
         base = [typing(2_000), ev(TelemetryKind.FILE_NAV, 9_000)]
         later = base + [ev(TelemetryKind.DIAGNOSTIC, 40_000, warnings=1, errors=0)]
-        assert label_suggestion(0, later) is Label.REJECTED_PASSIVE
+        assert first_outcome(later) == 0
 
 
 class TestJsonl:
@@ -303,10 +320,15 @@ class TestJsonl:
         with pytest.raises(SchemaError):
             parse_event_line('["a","list"]')
 
-    @pytest.mark.parametrize("timestamp", ["Infinity", "-Infinity", "NaN", '"12"', "3.7", "true"])
-    def test_non_finite_timestamp_raises_schema_error(self, timestamp):
+    @pytest.mark.parametrize(
+        "field, value",
+        [("timestamp", v) for v in ("Infinity", "-Infinity", "NaN", '"12"', "3.7", "true")]
+        + [("session_id", v) for v in ("null", "[1, 2]", "7")],
+    )
+    def test_bad_value_raises_schema_error(self, field, value):
+        fields = {"session_id": '"s"', "timestamp": "5", "kind": '"Pause"', field: value}
         with pytest.raises(SchemaError):
-            parse_event_line(f'{{"session_id":"s","timestamp":{timestamp},"kind":"Pause"}}')
+            parse_event_line("{" + ",".join(f'"{k}":{v}' for k, v in fields.items()) + "}")
 
     def test_read_jsonl_skips_blank_lines_and_refuses_non_objects(self, tmp_path):
         path = tmp_path / "mixed.jsonl"
@@ -441,32 +463,33 @@ class TestIngestProperties:
 
     @settings(max_examples=150, deadline=None)
     @given(steps=st.lists(_STEP, max_size=80), start=st.integers(0, 10**12))
-    def test_label_suggestion_agrees_with_ingest(self, steps, start):
+    def test_records_from_events_agree_with_ingest(self, steps, start):
         # Ingest resolves at most one pending suggestion per event; the
-        # counter it moves is that suggestion's outcome.
+        # counter it moves is the outcome of the request shown last.
         state = SessionState("s1")
         events: list = []
+        ids: list = []
         outcome: dict = {}
-        pending = None
+        latest = shown = None
         t = start
         for gap, kind, n, ms, command in steps:
             if kind == "outcome":
                 continue
             t += gap
             event = _step_event(t, kind, n, ms, command)
+            if kind is TelemetryKind.SUGGESTION_REQUESTED:
+                event = replace(event, payload={"suggestion_id": f"r{len(ids)}", "task_complexity": n / 500})
             accepted, rejected = state.accepted_count, state.rejected_count
             ingest_event(state, event)
-            if (state.accepted_count, state.rejected_count) != (accepted, rejected):
-                outcome[pending] = state.accepted_count > accepted
-            if kind is TelemetryKind.SUGGESTION_SHOWN:
-                pending = len(events)
+            if (state.accepted_count, state.rejected_count) != (accepted, rejected) and shown:
+                outcome[shown] = int(state.accepted_count > accepted)
+                shown = None
+            if kind is TelemetryKind.SUGGESTION_REQUESTED:
+                latest = event.payload["suggestion_id"]
+                ids.append(latest)
+            elif kind is TelemetryKind.SUGGESTION_SHOWN:
+                latest, shown = None, latest
             events.append(event)
-        for i, event in enumerate(events):
-            if event.kind is not TelemetryKind.SUGGESTION_SHOWN:
-                continue
-            if i in outcome:
-                label = label_suggestion(event.timestamp, events[i + 1:])
-                assert (label is Label.ACCEPTED) == outcome[i]
-            else:
-                with pytest.raises(PendingLabel):
-                    label_suggestion(event.timestamp, events[i + 1:])
+        records, unresolved = records_from_events(events)
+        assert [r.y for r in records] == [outcome[i] for i in ids if i in outcome]
+        assert unresolved == [i for i in ids if i not in outcome]
