@@ -4,9 +4,10 @@ A two-state hidden process (flow vs. exploratory) drives per-minute window
 features; every suggestion request samples its outcome from a logistic
 function of the request's true feature vector, so every downstream number
 has an oracle. Behaviour is drawn once; the real telemetry/feature pipeline
-then streams it, and the intercept is bisected over those stream passes
-until the realized acceptance rate is within 0.002 of the configured base
-rate (0.178-0.182 for 0.18 at 100 sessions, seeds 0-9).
+then streams it, logging each outcome as events, and the intercept is
+bisected over those stream passes until the realized acceptance rate is
+within 0.002 of the configured base rate (0.178-0.181 for 0.18 at 100
+sessions, seeds 0-9). The records come from the chosen pass's log alone.
 """
 
 from __future__ import annotations
@@ -147,7 +148,7 @@ def xor_variant_config(seed: int = 0, **overrides) -> SynthConfig:
     Linear weight on the two interacting signals is removed, so a linear
     model sees only what the interaction leaks into single features. At 60
     sessions (seeds 0-5) a fitted logistic model reaches a test ROC-AUC of
-    0.54-0.66, against 0.62-0.70 for the true probabilities.
+    0.58-0.67, against 0.62-0.72 for the true probabilities.
     """
     ground_truth = (
         GroundTruthTerm("acceptance_ratio", 0.25, 0.18, 0.25),
