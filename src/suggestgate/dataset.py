@@ -76,6 +76,13 @@ class SuggestionRecord:
             raise SchemaError(f"bad suggestion record: {exc}") from exc
 
 
+def _count(payload: dict, key: str, sid: str) -> int:
+    try:
+        return whole_number(payload.get(key, 0))
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise SchemaError(f"request {sid!r} has a bad {key}: {exc}") from exc
+
+
 def records_from_events(events: Iterable[TelemetryEvent]) -> tuple[list[SuggestionRecord], list[str]]:
     """Label the suggestion requests of an event log by ingest's lifecycle rule.
 
@@ -89,7 +96,8 @@ def records_from_events(events: Iterable[TelemetryEvent]) -> tuple[list[Suggesti
     requests never shown or still pending when the log ends. A request whose
     ``suggestion_id`` is not a string or repeats an earlier one, or whose
     ``task_complexity`` is not a finite number (a bool or a string is not),
-    raises ``SchemaError``.
+    raises ``SchemaError``, as does a ``prompt_length``, ``suggestion_chars`` or
+    ``decision_latency_ms`` that is not a whole number (``whole_number``).
     """
     states: dict[str, SessionState] = {}
     requests: dict[str, dict] = {}  # suggestion_id -> record fields, in request order
@@ -107,15 +115,15 @@ def records_from_events(events: Iterable[TelemetryEvent]) -> tuple[list[Suggesti
             unshown[session] = sid
             requests[sid] = {"x": build_feature_vector(state, complexity, at=event.timestamp).values,
                              "timestamp": event.timestamp, "session_id": session,
-                             "prompt_length": payload.get("prompt_length", 0)}
+                             "prompt_length": _count(payload, "prompt_length", sid)}
         counts = state.accepted_count, state.rejected_count
         ingest_event(state, event)
         if (state.accepted_count, state.rejected_count) != counts and session in showing:
             requests[showing.pop(session)]["y"] = int(state.accepted_count > counts[0])
         if event.kind is TelemetryKind.SUGGESTION_SHOWN and session in unshown:
             showing[session] = sid = unshown.pop(session)
-            requests[sid].update(suggestion_chars=payload.get("suggestion_chars", 0),
-                                 decision_latency_ms=payload.get("decision_latency_ms", 0))
+            requests[sid].update(suggestion_chars=_count(payload, "suggestion_chars", sid),
+                                 decision_latency_ms=_count(payload, "decision_latency_ms", sid))
     records = [SuggestionRecord(**fields) for fields in requests.values() if "y" in fields]
     return records, [sid for sid, fields in requests.items() if "y" not in fields]
 

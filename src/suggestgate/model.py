@@ -188,44 +188,45 @@ def fit_logistic(
 # A tree is a complete depth-D heap: node k sends a row to 2k+1 iff
 # x[feature] <= threshold, else to 2k+2; node 2^D - 1 + i is leaf i. A node
 # that stopped early is padded with feature 0 and threshold 0.0, and every
-# leaf below it holds its value.
+# leaf below it holds its value. The fit is exact greedy search over columns
+# sorted once per fit. Gains are taken only at cuts, where a feature's next
+# value is larger, from one prefix sum of g + ih, bit-equal to two real ones.
 
 _SPLIT_LAMBDA = 1e-6
 _MIN_GAIN = 1e-12
 
 
 def _best_split(
-    Xt: np.ndarray, rows: np.ndarray, g: np.ndarray, h: np.ndarray, g_sum: float, h_sum: float
+    rows: np.ndarray, xs: np.ndarray, cuts: np.ndarray, gh: np.ndarray, g_sum: float, h_sum: float
 ) -> tuple[int, float] | None:
     """Exact greedy split of one node over every feature at once.
 
     ``rows[j]`` lists the node's rows in ascending order of feature j, ties
-    by row index. Ties in gain go to the first cut within a feature, then
-    to the first feature; a split must beat ``_MIN_GAIN``.
+    by row index, ``xs[j]`` their values, ``cuts`` the flat indices where
+    ``xs[:, :-1] < xs[:, 1:]`` and ``gh`` g + ih per row. Ties in gain go to
+    the first cut within a feature, then to the first feature; a split must
+    beat ``_MIN_GAIN``.
     """
-    xs = np.take_along_axis(Xt, rows, axis=1)
-    gl = np.cumsum(g[rows], axis=1)[:, :-1]
-    hl = np.cumsum(h[rows], axis=1)[:, :-1]
-    gr = g_sum - gl
-    hr = h_sum - hl
+    left = gh.take(rows)
+    left = np.cumsum(left, axis=1, out=left).ravel().take(cuts + cuts // (xs.shape[1] - 1))
+    gl, hl = left.real, left.imag
+    gr, hr = g_sum - gl, h_sum - hl
     gain = (
         gl * gl / (hl + _SPLIT_LAMBDA)
         + gr * gr / (hr + _SPLIT_LAMBDA)
         - g_sum * g_sum / (h_sum + _SPLIT_LAMBDA)
     )
-    gain = np.where(xs[:, :-1] < xs[:, 1:], gain, -np.inf)
-    pos = gain.argmax(axis=1)
-    best = gain[np.arange(len(pos)), pos]
-    j = int(best.argmax())
-    if not best[j] > _MIN_GAIN:
+    best = int(gain.argmax())
+    if not gain[best] > _MIN_GAIN:
         return None
-    return j, float(0.5 * (xs[j, pos[j]] + xs[j, pos[j] + 1]))
+    j, k = divmod(int(cuts[best]), xs.shape[1] - 1)
+    return j, float(0.5 * (xs[j, k] + xs[j, k + 1]))
 
 
 def _grow_tree(
-    Xt: np.ndarray, order: np.ndarray, g: np.ndarray, h: np.ndarray, depth: int
+    Xt: np.ndarray, root: tuple, gh: np.ndarray, depth: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Fit one tree level by level on the presorted columns ``order``.
+    """Fit one tree level by level from the root's ``rows, xs, cuts`` (``_best_split``).
 
     Returns the heap's feature, threshold and leaf arrays, and the leaf
     each training row landed in.
@@ -237,13 +238,13 @@ def _grow_tree(
     row_leaf = np.empty(Xt.shape[1], dtype=np.intp)
     # A node keeps its rows in index order too, so that its gradient sums
     # add the same terms in the same order whatever the path to it.
-    level = [(0, np.arange(Xt.shape[1]), order)]
+    level = [(0, np.arange(Xt.shape[1]), *root)]
     for d in range(depth + 1):
         children = []
-        for node, idx, rows in level:
-            g_sum = float(g[idx].sum())
-            h_sum = float(h[idx].sum())
-            split = _best_split(Xt, rows, g, h, g_sum, h_sum) if d < depth and idx.size >= 2 else None
+        for node, idx, rows, xs, cuts in level:
+            g_sum = float(gh.real[idx].sum())
+            h_sum = float(gh.imag[idx].sum())
+            split = _best_split(rows, xs, cuts, gh, g_sum, h_sum) if d < depth and cuts.size else None
             if split is not None:
                 goes_left = Xt[split[0]] <= split[1]
                 mask = goes_left[idx]
@@ -254,10 +255,14 @@ def _grow_tree(
                 row_leaf[idx] = first
                 continue
             feature[node], threshold[node] = split
-            # Boolean selection keeps each feature's order; reshape restores rows.
-            in_left = goes_left[rows]
-            children.append((2 * node + 1, idx[mask], rows[in_left].reshape(len(rows), -1)))
-            children.append((2 * node + 2, idx[~mask], rows[~in_left].reshape(len(rows), -1)))
+            sorts = [(None, None, None)] * 2  # children on the last level are leaves
+            if d + 1 < depth:
+                in_left = goes_left.take(rows).ravel()
+                for i, at in enumerate((np.flatnonzero(in_left), np.flatnonzero(~in_left))):
+                    r, x = (a.ravel().take(at).reshape(len(a), -1) for a in (rows, xs))
+                    sorts[i] = r, x, np.flatnonzero(x[:, :-1] < x[:, 1:])
+            children.append((2 * node + 1, idx[mask], *sorts[0]))
+            children.append((2 * node + 2, idx[~mask], *sorts[1]))
         level = children
     return feature, threshold, leaf, row_leaf
 
@@ -282,6 +287,8 @@ def fit_tree_ensemble(
     mean, std = _standardization(X)
     Xt = np.ascontiguousarray(((X - mean) / std).T)
     order = np.argsort(Xt, axis=1, kind="stable")
+    xs = np.take_along_axis(Xt, order, axis=1)
+    root = order, xs, np.flatnonzero(xs[:, :-1] < xs[:, 1:])
     w_vec = np.where(y == 1.0, weights[1], weights[0])
 
     base_rate = float(np.sum(w_vec * y) / np.sum(w_vec))
@@ -293,9 +300,9 @@ def fit_tree_ensemble(
     stages = []
     for _ in range(hyper.n_trees):
         p = _clip_probs(_sigmoid(scores))
-        g = w_vec * (y - p)
-        h = w_vec * p * (1.0 - p)
-        feature, threshold, leaf, row_leaf = _grow_tree(Xt, order, g, h, hyper.depth)
+        gh = (w_vec * (y - p)).astype(complex)  # g + ih, each part exact
+        gh.imag = w_vec * p * (1.0 - p)
+        feature, threshold, leaf, row_leaf = _grow_tree(Xt, root, gh, hyper.depth)
         step = leaf[row_leaf]
         scale = TREE_LR
         for _ in range(10):

@@ -112,6 +112,36 @@ class TestRecordsFromEvents:
         with pytest.raises(SchemaError):
             records_from_events([request(0, **payload)])
 
+    @pytest.mark.parametrize(
+        "requested, shown",
+        [
+            ({"prompt_length": 2.5}, {"suggestion_chars": "many"}),
+            ({"prompt_length": 2.5}, {}),
+            ({"prompt_length": True}, {}),
+            ({}, {"suggestion_chars": "many"}),
+            ({}, {"decision_latency_ms": 12.5}),
+            ({}, {"decision_latency_ms": None}),
+        ],
+    )
+    def test_count_not_a_whole_number_raises(self, requested, shown):
+        # Without the check such a log gave a record that from_json_dict refuses.
+        events = [request(0, suggestion_id="a", task_complexity=0.5, **requested),
+                  TelemetryEvent("s1", 0, TelemetryKind.SUGGESTION_SHOWN, shown),
+                  TelemetryEvent("s1", 1_000, TelemetryKind.SUGGESTION_ACCEPTED)]
+        with pytest.raises(SchemaError, match="request 'a'"):
+            records_from_events(events)
+
+    def test_whole_number_counts_give_a_record_that_reads_back(self):
+        events = [request(0, suggestion_id="a", task_complexity=0.5, prompt_length=40.0),
+                  TelemetryEvent("s1", 0, TelemetryKind.SUGGESTION_SHOWN,
+                                 {"suggestion_chars": 120, "decision_latency_ms": 35.0}),
+                  TelemetryEvent("s1", 1_000, TelemetryKind.SUGGESTION_ACCEPTED)]
+        (record,), unresolved = records_from_events(events)
+        assert unresolved == []
+        assert (record.prompt_length, record.suggestion_chars, record.decision_latency_ms) == (40, 120, 35)
+        assert type(record.prompt_length) is int
+        assert SuggestionRecord.from_json_dict(record.to_json_dict()) == record
+
 
 class TestStratifiedSplit:
     def test_study_scale_sizes(self):

@@ -20,6 +20,7 @@ from suggestgate.model import (
     AcceptanceModel,
     TreeHyper,
     _clip_probs,
+    _grow_tree,
     _logistic_loss_grad,
     _sigmoid,
     _tree_margin,
@@ -154,6 +155,12 @@ def xor_data(n: int, seed: int = 0, noise: float = 0.1):
     X = bits + rng.normal(0, noise, size=(n, 2))
     y = (bits[:, 0] ^ bits[:, 1]).astype(float)
     return X, y
+
+
+def twin_column_data(n: int, seed: int = 0):
+    """XOR data whose first column appears twice, so gains tie across features."""
+    X, y = xor_data(n, seed)
+    return X[:, [0, 0, 1]], y
 
 
 def telemetry_like_data(n: int, seed: int = 0):
@@ -446,8 +453,10 @@ class TestTreeEnsemble:
             (xor_data(200, seed=9), (1.0, 1.0), TreeHyper(n_trees=30, depth=3)),
             (xor_data(60, seed=2), (0.7, 2.0), TreeHyper(n_trees=15, depth=5)),
             (telemetry_like_data(300, seed=4), (1.0, 3.0), TreeHyper(n_trees=20, depth=4)),
+            (twin_column_data(120, seed=3), (1.0, 1.0), TreeHyper(n_trees=20, depth=3)),
+            (xor_data(40, seed=5), (1.0, 1.5), TreeHyper(n_trees=10, depth=6)),
         ],
-        ids=["xor", "xor-small-deep", "telemetry-22"],
+        ids=["xor", "xor-small-deep", "telemetry-22", "twin-columns", "depth-6-on-40-rows"],
     )
     def test_matches_reference_dict_trees_exactly(self, data, weights, hyper):
         X, y = data
@@ -467,6 +476,29 @@ class TestTreeEnsemble:
         np.testing.assert_array_equal(predict_proba_batch(model, X_probe), expected)
         rows = [predict_proba(model, x) for x in X_probe[:50]]
         np.testing.assert_array_equal(rows, expected[:50])
+
+    def test_split_whose_midpoint_sends_every_row_left_is_a_leaf(self):
+        # Column 0 holds 1+eps and 1+2eps; their midpoint rounds onto 1+2eps,
+        # so its best split keeps every row on the left. Column 1's split
+        # gains less, and the node becomes a leaf rather than taking it.
+        eps = np.finfo(float).eps
+        X = np.array([[1 + eps, 0.0], [1 + eps, 1.0], [1 + 2 * eps, 0.0], [1 + 2 * eps, 1.0]])
+        g, h = np.array([1.0, 1.0, -1.0, -0.5]), np.ones(4)
+        assert 0.5 * ((1 + eps) + (1 + 2 * eps)) == 1 + 2 * eps
+        reference = _reference_fit_tree(X, g, h, np.arange(4), 2)
+        assert set(reference) == {"value"}
+        Xt = np.ascontiguousarray(X.T)
+        order = np.argsort(Xt, axis=1, kind="stable")
+        xs = np.take_along_axis(Xt, order, axis=1)
+        gh = g.astype(complex)
+        gh.imag = h
+        feature, threshold, leaf, row_leaf = _grow_tree(
+            Xt, (order, xs, np.flatnonzero(xs[:, :-1] < xs[:, 1:])), gh, 2
+        )
+        np.testing.assert_array_equal(feature, [0, 0, 0])
+        np.testing.assert_array_equal(threshold, [0.0, 0.0, 0.0])
+        np.testing.assert_array_equal(leaf, [reference["value"]] * 4)
+        np.testing.assert_array_equal(row_leaf, [0, 0, 0, 0])
 
 
 def _two_feature_model(kind: str) -> AcceptanceModel:
