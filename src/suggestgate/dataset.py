@@ -30,8 +30,6 @@ class SuggestionRecord:
     timestamp: int
     session_id: str
     prompt_length: int = 0
-    suggestion_chars: int = 0
-    decision_latency_ms: int = 0
 
     def __post_init__(self) -> None:
         if self.y not in (0, 1):
@@ -48,8 +46,6 @@ class SuggestionRecord:
             "timestamp": self.timestamp,
             "session_id": self.session_id,
             "prompt_length": self.prompt_length,
-            "suggestion_chars": self.suggestion_chars,
-            "decision_latency_ms": self.decision_latency_ms,
         }
 
     @classmethod
@@ -69,8 +65,6 @@ class SuggestionRecord:
                 timestamp=whole_number(obj.get("timestamp", 0)),
                 session_id=obj["session_id"],
                 prompt_length=whole_number(obj.get("prompt_length", 0)),
-                suggestion_chars=whole_number(obj.get("suggestion_chars", 0)),
-                decision_latency_ms=whole_number(obj.get("decision_latency_ms", 0)),
             )
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise SchemaError(f"bad suggestion record: {exc}") from exc
@@ -89,15 +83,14 @@ def records_from_events(events: Iterable[TelemetryEvent]) -> tuple[list[Suggesti
     The events stream through ``ingest_event``, one ``SessionState`` per
     session, and each request's vector is built before the request is
     ingested, as the gate builds it. A ``SuggestionShown`` shows the
-    session's latest request not yet shown and gives its ``suggestion_chars``
-    and ``decision_latency_ms``. That suggestion resolves at the event that
-    moves the session's ``accepted_count`` (y = 1) or ``rejected_count``
-    (y = 0). Returns the records in request order, and the ids of the
-    requests never shown or still pending when the log ends. A request whose
-    ``suggestion_id`` is not a string or repeats an earlier one, or whose
-    ``task_complexity`` is not a finite number (a bool or a string is not),
-    raises ``SchemaError``, as does a ``prompt_length``, ``suggestion_chars`` or
-    ``decision_latency_ms`` that is not a whole number (``whole_number``).
+    session's latest request not yet shown. That suggestion resolves at the
+    event that moves the session's ``accepted_count`` (y = 1) or
+    ``rejected_count`` (y = 0). Returns the records in request order, and the
+    ids of the requests never shown or still pending when the log ends. A
+    request whose ``suggestion_id`` is not a string or repeats an earlier
+    one, or whose ``task_complexity`` is not a finite number (a bool or a
+    string is not), raises ``SchemaError``, as does a ``prompt_length`` that
+    is not a whole number (``whole_number``).
     """
     states: dict[str, SessionState] = {}
     requests: dict[str, dict] = {}  # suggestion_id -> record fields, in request order
@@ -121,9 +114,7 @@ def records_from_events(events: Iterable[TelemetryEvent]) -> tuple[list[Suggesti
         if (state.accepted_count, state.rejected_count) != counts and session in showing:
             requests[showing.pop(session)]["y"] = int(state.accepted_count > counts[0])
         if event.kind is TelemetryKind.SUGGESTION_SHOWN and session in unshown:
-            showing[session] = sid = unshown.pop(session)
-            requests[sid].update(suggestion_chars=_count(payload, "suggestion_chars", sid),
-                                 decision_latency_ms=_count(payload, "decision_latency_ms", sid))
+            showing[session] = unshown.pop(session)
     records = [SuggestionRecord(**fields) for fields in requests.values() if "y" in fields]
     return records, [sid for sid, fields in requests.items() if "y" not in fields]
 

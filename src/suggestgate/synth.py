@@ -1,13 +1,16 @@
 """Synthetic developer sessions with a known acceptance ground truth.
 
-A two-state hidden process (flow vs. exploratory) drives per-minute window
-features; every suggestion request samples its outcome from a logistic
-function of the request's true feature vector, so every downstream number
-has an oracle. Behaviour is drawn once; the real telemetry/feature pipeline
-then streams it, logging each outcome as events, and the intercept is
-bisected over those stream passes until the realized acceptance rate is
-within 0.002 of the configured base rate (0.178-0.181 for 0.18 at 100
-sessions, seeds 0-9). The records come from the chosen pass's log alone.
+A two-state hidden process (flow vs. exploratory) drives per-minute
+behaviour. Each request's true acceptance logit comes from that draw, not
+from the package's features: the minute's latent state, the request's true
+complexity weighted by state, one affinity per session and the session's own
+earlier outcomes. The features only observe the behaviour, so every
+downstream number has an oracle that the pipeline under test does not
+compute. Behaviour is drawn once; the intercept is bisected over passes of
+the requests until the realized acceptance rate is within 0.002 of the
+configured base rate (0.1785-0.1819 for 0.18 at 100 sessions, seeds 0-9). The
+chosen pass is logged as events once, and the records come from that log
+alone.
 """
 
 from __future__ import annotations
@@ -19,9 +22,8 @@ import numpy as np
 
 from .dataset import SuggestionRecord, records_from_events
 from .errors import InvalidConfig
-from .features import FEATURE_NAMES, build_feature_vector
 from .model import _sigmoid
-from .telemetry import SessionState, TelemetryEvent, TelemetryKind, ingest_event, write_jsonl
+from .telemetry import TelemetryEvent, TelemetryKind, write_jsonl
 
 FLOW = "flow"
 EXPLORATORY = "exploratory"
@@ -48,16 +50,6 @@ class StateProfile:
     file_lines_mean: float
     open_files_mean: float
     complexity_mean: float
-
-
-@dataclass(frozen=True)
-class GroundTruthTerm:
-    """One additive term of the true acceptance logit: w * (x - c) / s."""
-
-    feature: str
-    weight: float
-    center: float
-    scale: float
 
 
 DEFAULT_STATES = {
@@ -106,17 +98,17 @@ DEFAULT_TRANSITION = {
     EXPLORATORY: {FLOW: 0.25, EXPLORATORY: 0.75},
 }
 
-DEFAULT_GROUND_TRUTH = (
-    GroundTruthTerm("acceptance_ratio", 1.7, 0.18, 0.25),
-    GroundTruthTerm("typing_efficiency", -1.5, 5.0, 2.6),
-    GroundTruthTerm("pause_frequency", 1.3, 0.30, 0.35),
-    GroundTruthTerm("quick_fix_count", -0.9, 0.5, 0.8),
-    GroundTruthTerm("warnings", -0.8, 1.4, 1.4),
-    GroundTruthTerm("errors", -0.9, 0.65, 0.9),
-    GroundTruthTerm("task_complexity", -1.1, 0.37, 0.17),
-    GroundTruthTerm("edit_density", 0.6, 0.02, 0.03),
-    GroundTruthTerm("context_stale", 0.7, 0.1, 1.0),
-)
+
+#: The true acceptance logit, before the bisected intercept, is the state's
+#: offset, plus the state's weight times (complexity - COMPLEXITY_CENTRE), a
+#: state x complexity interaction, plus the session's N(0, AFFINITY_SD)
+#: affinity, plus FEEDBACK_WEIGHT times the session's share of earlier
+#: requests accepted less the base rate.
+STATE_LOGIT = {FLOW: 0.5, EXPLORATORY: -0.5}
+COMPLEXITY_WEIGHT = {FLOW: -1.0, EXPLORATORY: -5.0}
+COMPLEXITY_CENTRE = 0.37
+AFFINITY_SD = 0.5
+FEEDBACK_WEIGHT = 1.5
 
 
 @dataclass(frozen=True)
@@ -126,10 +118,6 @@ class SynthConfig:
     requests_per_minute: float = 1.0
     base_acceptance: float = 0.18
     seed: int = 0
-    ground_truth: tuple[GroundTruthTerm, ...] = DEFAULT_GROUND_TRUTH
-    #: Non-linear term: +boost when exactly one of (high efficiency, high
-    #: pause rate) holds, -boost otherwise. Zero keeps the truth logistic.
-    interaction_boost: float = 0.0
 
     def validate(self) -> None:
         if self.n_sessions < 1:
@@ -142,61 +130,30 @@ class SynthConfig:
             raise InvalidConfig("requests_per_minute must be positive")
 
 
-def xor_variant_config(seed: int = 0, **overrides) -> SynthConfig:
-    """Config whose truth is dominated by a non-linear interaction.
-
-    Linear weight on the two interacting signals is removed, so a linear
-    model sees only what the interaction leaks into single features. At 60
-    sessions (seeds 0-5) a fitted logistic model reaches a test ROC-AUC of
-    0.58-0.67, against 0.62-0.72 for the true probabilities.
-    """
-    ground_truth = (
-        GroundTruthTerm("acceptance_ratio", 0.25, 0.18, 0.25),
-    )
-    return SynthConfig(
-        seed=seed,
-        ground_truth=ground_truth,
-        interaction_boost=1.6,
-        **overrides,
-    )
-
-
 @dataclass
 class SynthResult:
     events: list[TelemetryEvent]
     records: list[SuggestionRecord]
+    p_true: np.ndarray  # each record's true acceptance probability, in record order
     bias: float
     realized_acceptance: float
     config: SynthConfig
 
 
-_EFF_SPLIT = 4.5
-_PAUSE_SPLIT = 0.6
 _START_EPOCH_MS = 1_700_000_000_000  # session s starts 9 s after session s - 1
 
-
-def _true_logit(config: SynthConfig, values: dict[str, float], bias: float) -> float:
-    # tanh bounds each term at +-weight: the epsilon-guarded ratios can
-    # reach 1e6 when a window lacks a denominator event, and an unbounded
-    # term would make the truth degenerate.
-    z = bias
-    for term in config.ground_truth:
-        z += term.weight * math.tanh((values[term.feature] - term.center) / term.scale)
-    if config.interaction_boost:
-        high_eff = values["typing_efficiency"] > _EFF_SPLIT
-        high_pause = values["pause_frequency"] > _PAUSE_SPLIT
-        z += config.interaction_boost * (1.0 if high_eff != high_pause else -1.0)
-    return z
+_Request = tuple[TelemetryEvent, float, float]  # SuggestionRequested, outcome uniform, latent logit
 
 
-def _draw(config: SynthConfig) -> tuple[list[TelemetryEvent], dict[str, tuple[float, dict]]]:
+def _draw(config: SynthConfig) -> tuple[list[TelemetryEvent], list[_Request]]:
     """All behavioural randomness, outcome uniforms included: the events
-    sorted by timestamp (ties in emission order) and, per request id, its
-    outcome uniform and the payload of its SuggestionShown."""
+    sorted by timestamp (ties in emission order) and the requests among
+    them in that order, each with its outcome uniform and its latent logit
+    term (state, complexity and affinity)."""
     rng = np.random.default_rng(config.seed)
     state_names = sorted(DEFAULT_STATES)
     events: list[TelemetryEvent] = []
-    requests: dict[str, tuple[float, dict]] = {}
+    truth: dict[str, tuple[float, float]] = {}
 
     def emit(session: str, t: int, kind: TelemetryKind, payload: dict) -> None:
         events.append(TelemetryEvent(session, int(t), kind, payload))
@@ -207,6 +164,7 @@ def _draw(config: SynthConfig) -> tuple[list[TelemetryEvent], dict[str, tuple[fl
         minutes = max(3, int(rng.normal(config.mean_session_minutes,
                                         config.mean_session_minutes / 4)))
         state = state_names[int(rng.integers(0, len(state_names)))]
+        affinity = float(rng.normal(0.0, AFFINITY_SD))
         for minute in range(minutes):
             row = DEFAULT_TRANSITION[state]
             u = rng.random()
@@ -259,51 +217,44 @@ def _draw(config: SynthConfig) -> tuple[list[TelemetryEvent], dict[str, tuple[fl
             for _ in range(int(rng.poisson(config.requests_per_minute))):
                 t = offset()
                 complexity = min(max(rng.normal(profile.complexity_mean, 0.12), 0.0), 1.0)
-                sid = f"{session}-r{len(requests):05d}"
-                payload = {
+                sid = f"{session}-r{len(truth):05d}"
+                emit(session, t, TelemetryKind.SUGGESTION_REQUESTED, {
                     "suggestion_id": sid,
                     "task_complexity": round(complexity, 6),
                     "prompt_length": int(rng.integers(20, 800)),
-                }
-                emit(session, t, TelemetryKind.SUGGESTION_REQUESTED, payload)
-                requests[sid] = (float(rng.random()), {
-                    "suggestion_id": sid,
-                    "suggestion_chars": int(rng.integers(10, 400)),
-                    "decision_latency_ms": int(rng.integers(300, 12_000)),
                 })
+                latent = (STATE_LOGIT[state] + affinity
+                          + COMPLEXITY_WEIGHT[state] * (complexity - COMPLEXITY_CENTRE))
+                truth[sid] = float(rng.random()), latent
         # An idle tail: 30 s without interaction resolves the last suggestion.
         emit(session, session_start + minutes * 60_000 + 30_000, TelemetryKind.PAUSE, {})
 
     events.sort(key=lambda event: event.timestamp)
-    return events, requests
+    return events, [(event, *truth[event.payload["suggestion_id"]]) for event in events
+                    if event.kind is TelemetryKind.SUGGESTION_REQUESTED]
 
 
-def _stream(config: SynthConfig, draw, bias: float) -> tuple[list[TelemetryEvent], int]:
-    """Stream a draw through ingest and features and log each outcome as events.
+def _outcomes(requests: list[_Request], base: float, bias: float) -> tuple[list[float], list[bool]]:
+    """Each request's true probability and outcome at intercept ``bias``.
 
-    Each request is followed by its SuggestionShown and, if the outcome drawn
-    from the true logit at ``bias`` is an accept, its SuggestionAccepted, both
-    at the request's timestamp. Returns the log and its accepted count.
+    The logit is ``bias``, the request's latent term and the feedback term:
+    FEEDBACK_WEIGHT times the session's share of earlier requests accepted
+    less ``base`` (0 at a session's first request). Every request is shown,
+    so with the uniforms fixed a higher ``bias`` only adds accepts, and each
+    added accept only raises the later shares of its session.
     """
-    events, requests = draw
-    states: dict[str, SessionState] = {}
-    log: list[TelemetryEvent] = []
-    accepted_total = 0
-    for event in events:
-        state = states.setdefault(event.session_id, SessionState(event.session_id))
-        logged = [event]
-        if event.kind is TelemetryKind.SUGGESTION_REQUESTED:
-            outcome_draw, shown = requests[event.payload["suggestion_id"]]
-            fv = build_feature_vector(state, event.payload["task_complexity"], at=event.timestamp)
-            logged.append(replace(event, kind=TelemetryKind.SUGGESTION_SHOWN, payload=shown))
-            if outcome_draw < float(_sigmoid(_true_logit(config, fv.as_dict(), bias))):
-                accepted_total += 1
-                logged.append(replace(event, kind=TelemetryKind.SUGGESTION_ACCEPTED,
-                                      payload={"suggestion_id": shown["suggestion_id"]}))
-        for entry in logged:
-            ingest_event(state, entry)
-        log.extend(logged)
-    return log, accepted_total
+    tallies: dict[str, list[int]] = {}  # session -> [requests, accepts] so far
+    p_true: list[float] = []
+    accepted: list[bool] = []
+    for event, uniform, latent in requests:
+        tally = tallies.setdefault(event.session_id, [0, 0])
+        feedback = FEEDBACK_WEIGHT * (tally[1] / tally[0] - base) if tally[0] else 0.0
+        p = float(_sigmoid(bias + latent + feedback))
+        tally[0] += 1
+        tally[1] += uniform < p
+        p_true.append(p)
+        accepted.append(uniform < p)
+    return p_true, accepted
 
 
 _RATE_TOLERANCE = 0.002
@@ -314,48 +265,53 @@ def synth_sessions(config: SynthConfig) -> SynthResult:
     """Generate telemetry with every outcome logged, and its training records.
 
     Deterministic given the config seed (byte-identical logs). Behaviour is
-    drawn once, then the intercept is bisected over stream passes of that
-    draw until the realized acceptance rate is within 0.002 of
-    ``base_acceptance``: with the outcome uniforms fixed, a higher intercept
-    only adds accepts. The bracket is the base rate's logit +- the most the
-    truth's terms can add. At a few sessions an accept feeds back
-    (``acceptance_ratio``) and the rate can jump past the tolerance; after 24
-    passes, which narrow the bracket 2**23-fold, the pass closest to the base
-    rate is kept. Its log becomes the records through
-    ``records_from_events``, as any event log does.
+    drawn once, then the intercept is bisected over passes of ``_outcomes``
+    until the realized acceptance rate is within 0.002 of
+    ``base_acceptance``. The bracket is the base rate's logit +- the largest
+    latent term plus FEEDBACK_WEIGHT. One accept's feedback can make the
+    rate jump past the tolerance; after 24 passes, which narrow the bracket
+    2**23-fold, the pass closest to the base rate is kept. Its outcomes are
+    logged once: each request is followed by its SuggestionShown and, on
+    accept, its SuggestionAccepted, both at the request's timestamp. The
+    log becomes the records through ``records_from_events``, as any event
+    log does.
     """
     config.validate()
-    draw = _draw(config)
-    if not draw[1]:
+    events, requests = _draw(config)
+    if not requests:
         raise InvalidConfig("config generated no suggestion requests")
     target = config.base_acceptance
-    span = sum(abs(term.weight) for term in config.ground_truth) + abs(config.interaction_boost)
+    span = max(abs(latent) for _, _, latent in requests) + FEEDBACK_WEIGHT
     centre = math.log(target / (1.0 - target))
     lo, hi = centre - span, centre + span
     best = None
     for _ in range(_MAX_PASSES):
         bias = 0.5 * (lo + hi)
-        log, accepted = _stream(config, draw, bias)
-        rate = accepted / len(draw[1])
+        p_true, accepted = _outcomes(requests, target, bias)
+        rate = sum(accepted) / len(requests)
         if best is None or abs(rate - target) < abs(best[0] - target):
-            best = rate, bias, log
+            best = rate, bias, p_true, accepted
         if abs(rate - target) <= _RATE_TOLERANCE:
             break
         if rate < target:
             lo = bias
         else:
             hi = bias
-    rate, bias, log = best
+    rate, bias, p_true, accepted = best
+    log: list[TelemetryEvent] = []
+    outcomes = iter(accepted)
+    for event in events:
+        log.append(event)
+        if event.kind is TelemetryKind.SUGGESTION_REQUESTED:
+            sid = event.payload["suggestion_id"]
+            log.append(replace(event, kind=TelemetryKind.SUGGESTION_SHOWN,
+                               payload={"suggestion_id": sid}))
+            if next(outcomes):
+                log.append(replace(event, kind=TelemetryKind.SUGGESTION_ACCEPTED,
+                                   payload={"suggestion_id": sid}))
     records, _ = records_from_events(log)
-    return SynthResult(events=log, records=records, bias=bias, realized_acceptance=rate,
-                       config=config)
-
-
-def ground_truth_scores(config: SynthConfig, records, bias: float) -> np.ndarray:
-    """Oracle scorer: the true acceptance probability of each record."""
-    return _sigmoid(np.array([
-        _true_logit(config, dict(zip(FEATURE_NAMES, r.x)), bias) for r in records
-    ]))
+    return SynthResult(events=log, records=records, p_true=np.array(p_true), bias=bias,
+                       realized_acceptance=rate, config=config)
 
 
 def write_synth_outputs(result: SynthResult, events_path, records_path) -> None:

@@ -1,27 +1,21 @@
 from __future__ import annotations
 
+import sys
+
 import pytest
 
 from suggestgate.dataset import SuggestionRecord, class_weights, records_from_events, stratified_split
-from suggestgate import synth
+from suggestgate import features, synth
 from suggestgate.errors import InvalidConfig
 from suggestgate.evaluation import roc_auc
 from suggestgate.model import fit_logistic, fit_tree_ensemble, predict_proba_batch, split_to_arrays
-from suggestgate.synth import (
-    SynthConfig,
-    _draw,
-    _stream,
-    ground_truth_scores,
-    synth_sessions,
-    write_synth_outputs,
-    xor_variant_config,
-)
+from suggestgate.synth import SynthConfig, _draw, _outcomes, synth_sessions, write_synth_outputs
 from suggestgate.telemetry import TelemetryEvent, TelemetryKind, read_jsonl, write_jsonl
 
 SMALL_CONFIGS = pytest.mark.parametrize(
     "config",
-    [SynthConfig(n_sessions=8, seed=3), xor_variant_config(seed=5, n_sessions=8)],
-    ids=["logistic-truth", "xor-truth"],
+    [SynthConfig(n_sessions=8, seed=3), SynthConfig(n_sessions=8, seed=5, base_acceptance=0.3)],
+    ids=["base-0.18", "base-0.3"],
 )
 
 
@@ -45,23 +39,36 @@ class TestOutputs:
         assert unresolved == []
         assert rebuilt.read_bytes() == records.read_bytes()
 
+    def test_one_feature_build_per_request(self, monkeypatch):
+        # The truth comes from the draw: only records_from_events builds
+        # vectors, once per request, wherever the package binds the builder.
+        calls = []
+        build = features.build_feature_vector
 
-def _accepted_ids(log) -> set:
-    return {e.payload["suggestion_id"] for e in log if e.kind is TelemetryKind.SUGGESTION_ACCEPTED}
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return build(*args, **kwargs)
+
+        for module in list(sys.modules.values()):
+            if (getattr(module, "__name__", "").startswith("suggestgate")
+                    and getattr(module, "build_feature_vector", None) is build):
+                monkeypatch.setattr(module, "build_feature_vector", counted)
+        result = synth_sessions(SynthConfig(n_sessions=30, seed=3))
+        requests = [e for e in result.events if e.kind is TelemetryKind.SUGGESTION_REQUESTED]
+        assert len(calls) == len(requests) == len(result.records)
 
 
 class TestGroundTruth:
     @SMALL_CONFIGS
     def test_each_label_is_its_draw_below_the_oracle_score(self, config):
-        # Ties the truth to the record's own vector: the stream drew each
-        # outcome from the vector that the log rebuilds.
+        # Ties each record to its request's own draw: the log rebuilds the
+        # outcome that the uniform and the true probability gave.
         result = synth_sessions(config)
         requests = _draw(config)[1]
-        draws = [requests[e.payload["suggestion_id"]][0] for e in result.events
-                 if e.kind is TelemetryKind.SUGGESTION_REQUESTED]
-        oracle = ground_truth_scores(config, result.records, result.bias)
-        assert len(result.records) == len(draws)
-        assert [r.y for r in result.records] == [int(d < p) for d, p in zip(draws, oracle)]
+        draws = [uniform for _, uniform, _ in requests]
+        assert len(result.records) == len(draws) == len(result.p_true)
+        assert [r.y for r in result.records] == [int(d < p) for d, p in zip(draws, result.p_true)]
+        assert list(result.p_true) == _outcomes(requests, config.base_acceptance, result.bias)[0]
 
     @SMALL_CONFIGS
     def test_two_runs_write_identical_files(self, config, tmp_path):
@@ -75,13 +82,12 @@ class TestGroundTruth:
         # 100 sessions give about 400 test records; at 20-60 sessions the
         # test split is small enough that a fitted model can tie or edge past
         # the oracle by chance.
-        config = SynthConfig(n_sessions=100)
-        result = synth_sessions(config)
+        result = synth_sessions(SynthConfig(n_sessions=100))
         split = stratified_split(result.records)
         weights = class_weights(split.train)
         X_train, y_train = split_to_arrays(split.train)
         X_test, y_test = split_to_arrays(split.test)
-        oracle = roc_auc(ground_truth_scores(config, split.test, result.bias), y_test)
+        oracle = roc_auc(result.p_true[list(split.indices["test"])], y_test)
         for fit in (fit_logistic, fit_tree_ensemble):
             model = fit(X_train, y_train, weights)
             assert oracle >= roc_auc(predict_proba_batch(model, X_test), y_test)
@@ -103,8 +109,8 @@ class TestValidate:
         with pytest.raises(InvalidConfig, match=message):
             synth_sessions(SynthConfig(**overrides))
 
-    def test_no_requests_is_refused_before_any_stream_pass(self, monkeypatch):
-        monkeypatch.setattr(synth, "_stream", lambda *args: pytest.fail("streamed"))
+    def test_no_requests_is_refused_before_any_outcome_pass(self, monkeypatch):
+        monkeypatch.setattr(synth, "_outcomes", lambda *args: pytest.fail("passed over requests"))
         with pytest.raises(InvalidConfig, match="no suggestion requests"):
             synth_sessions(SynthConfig(n_sessions=1, requests_per_minute=1e-12))
 
@@ -114,17 +120,15 @@ class TestCalibration:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_realized_rate_meets_the_base_rate(self, base, seed):
         result = synth_sessions(SynthConfig(n_sessions=100, seed=seed, base_acceptance=base))
-        assert abs(result.realized_acceptance - base) <= 0.005
+        assert abs(result.realized_acceptance - base) <= 0.002
 
-    def test_stream_passes_share_the_draw_and_a_higher_bias_only_adds_accepts(self):
-        # Bisection on the bias needs the accepted set to grow with it. Apart
-        # from the SuggestionAccepted events, every pass logs the same events.
+    def test_a_higher_bias_only_adds_accepts(self):
+        # Bisection on the bias needs the accepted set to grow with it.
         config = SynthConfig(n_sessions=30, seed=3)
-        draw = _draw(config)
-        logs = [_stream(config, draw, bias)[0] for bias in (-4.0, -3.0, -2.5, -2.0, -1.0)]
-        shared = [[e for e in log if e.kind is not TelemetryKind.SUGGESTION_ACCEPTED] for log in logs]
-        accepted = [_accepted_ids(log) for log in logs]
-        for lower, higher in zip(shared, shared[1:]):
-            assert lower == higher
+        requests = _draw(config)[1]
+        accepted = [
+            {i for i, a in enumerate(_outcomes(requests, config.base_acceptance, bias)[1]) if a}
+            for bias in (-4.0, -3.0, -2.5, -2.0, -1.0)
+        ]
         for lower, higher in zip(accepted, accepted[1:]):
             assert lower < higher
