@@ -250,10 +250,11 @@ def _outcomes(requests: list[_Request], base: float, bias: float) -> tuple[list[
         tally = tallies.setdefault(event.session_id, [0, 0])
         feedback = FEEDBACK_WEIGHT * (tally[1] / tally[0] - base) if tally[0] else 0.0
         p = float(_sigmoid(bias + latent + feedback))
+        hit = uniform < p
         tally[0] += 1
-        tally[1] += uniform < p
+        tally[1] += hit
         p_true.append(p)
-        accepted.append(uniform < p)
+        accepted.append(hit)
     return p_true, accepted
 
 
