@@ -115,7 +115,7 @@ class TestRecordsFromEvents:
         with pytest.raises(SchemaError):
             records_from_events([request(0, **payload)])
 
-    @pytest.mark.parametrize("prompt_length", [2.5, True, "many"])
+    @pytest.mark.parametrize("prompt_length", [2.5, True, "many", None, math.inf])
     def test_count_not_a_whole_number_raises(self, prompt_length):
         # Without the check such a log gave a record that from_json_dict refuses.
         events = [request(0, suggestion_id="a", task_complexity=0.5, prompt_length=prompt_length),
@@ -123,6 +123,16 @@ class TestRecordsFromEvents:
                   TelemetryEvent("s1", 1_000, TelemetryKind.SUGGESTION_ACCEPTED)]
         with pytest.raises(SchemaError, match="request 'a'"):
             records_from_events(events)
+
+    def test_shown_payload_with_the_old_answer_side_keys_is_ignored(self):
+        # Logs written before suggestion_chars and decision_latency_ms were
+        # dropped still carry them on SuggestionShown, sometimes malformed.
+        events = [request(0, suggestion_id="a", task_complexity=0.5, prompt_length=40),
+                  TelemetryEvent("s1", 0, TelemetryKind.SUGGESTION_SHOWN,
+                                 {"suggestion_chars": "many", "decision_latency_ms": 12.5}),
+                  TelemetryEvent("s1", 1_000, TelemetryKind.SUGGESTION_ACCEPTED)]
+        plain = events[:1] + [TelemetryEvent("s1", 0, TelemetryKind.SUGGESTION_SHOWN)] + events[2:]
+        assert records_from_events(events) == records_from_events(plain)
 
     def test_whole_number_counts_give_a_record_that_reads_back(self):
         events = [request(0, suggestion_id="a", task_complexity=0.5, prompt_length=40.0),
