@@ -70,27 +70,17 @@ class SuggestionRecord:
             raise SchemaError(f"bad suggestion record: {exc}") from exc
 
 
-def _count(payload: dict, key: str, sid: str) -> int:
-    try:
-        return whole_number(payload.get(key, 0))
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise SchemaError(f"request {sid!r} has a bad {key}: {exc}") from exc
-
-
 def records_from_events(events: Iterable[TelemetryEvent]) -> tuple[list[SuggestionRecord], list[str]]:
     """Label the suggestion requests of an event log by ingest's lifecycle rule.
 
-    The events stream through ``ingest_event``, one ``SessionState`` per
-    session, and each request's vector is built before the request is
-    ingested, as the gate builds it. A ``SuggestionShown`` shows the
-    session's latest request not yet shown. That suggestion resolves at the
-    event that moves the session's ``accepted_count`` (y = 1) or
-    ``rejected_count`` (y = 0). Returns the records in request order, and the
-    ids of the requests never shown or still pending when the log ends. A
-    request whose ``suggestion_id`` is not a string or repeats an earlier
-    one, or whose ``task_complexity`` is not a finite number (a bool or a
-    string is not), raises ``SchemaError``, as does a ``prompt_length`` that
-    is not a whole number (``whole_number``).
+    Events stream through ``ingest_event``, one ``SessionState`` per session,
+    and a request's vector is built before the request is ingested, as the
+    gate builds it. A ``SuggestionShown`` shows the session's latest request
+    not yet shown, which resolves at the event that moves ``accepted_count``
+    (y = 1) or ``rejected_count`` (y = 0). Returns the records in request
+    order, and the ids of requests never shown or still pending at the end.
+    A request with no ``suggestion_id``, a repeated one or no
+    ``task_complexity`` raises ``SchemaError``.
     """
     states: dict[str, SessionState] = {}
     requests: dict[str, dict] = {}  # suggestion_id -> record fields, in request order
@@ -101,14 +91,13 @@ def records_from_events(events: Iterable[TelemetryEvent]) -> tuple[list[Suggesti
         state = states.setdefault(session, SessionState(session))
         if event.kind is TelemetryKind.SUGGESTION_REQUESTED:
             sid, complexity = payload.get("suggestion_id"), payload.get("task_complexity")
-            if (not isinstance(sid, str) or sid in requests or isinstance(complexity, bool)
-                    or not isinstance(complexity, (int, float)) or not math.isfinite(complexity)):
-                raise SchemaError(f"request needs a new string suggestion_id and a finite "
-                                  f"task_complexity, got {sid!r} and {complexity!r}")
+            if sid is None or sid in requests or complexity is None:
+                raise SchemaError(f"request needs a new suggestion_id and a task_complexity, "
+                                  f"got {sid!r} and {complexity!r}")
             unshown[session] = sid
             requests[sid] = {"x": build_feature_vector(state, complexity, at=event.timestamp).values,
                              "timestamp": event.timestamp, "session_id": session,
-                             "prompt_length": _count(payload, "prompt_length", sid)}
+                             "prompt_length": payload.get("prompt_length", 0)}
         counts = state.accepted_count, state.rejected_count
         ingest_event(state, event)
         if (state.accepted_count, state.rejected_count) != counts and session in showing:

@@ -1,13 +1,14 @@
 """Editor telemetry: event taxonomy, per-session state, one-minute windows, labeling.
 
-Events are content-agnostic: payloads carry counts and durations only, never
-source text, prompts, or identifiers. Windows are wall-clock aligned to
-``floor(timestamp / 60 s)`` so replays are deterministic.
+Events are content-agnostic: a payload keeps only its kind's counts, ids,
+complexity score and command name, never source text or prompts. Windows are
+wall-clock aligned to ``floor(timestamp / 60 s)`` so replays are deterministic.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Iterator, Optional
@@ -58,7 +59,7 @@ _ACCEPTED, _REJECTED_EXPLICIT, _REJECTED_PASSIVE = Label
 #: The ``command`` values of a CommandUse that ingest counts apart.
 _UNDO, _QUICK_FIX, _TERMINAL_TOGGLE = "Undo", "QuickFix", "TerminalToggle"
 
-#: Ingest refuses counts from 2**53 up: features hold counts as floats, which skip integers there.
+#: Events refuse counts from 2**53 up: features hold counts as floats, which skip integers there.
 _COUNT_LIMIT = 2**53
 
 #: Events that count as developer interaction for the passive-rejection
@@ -66,19 +67,67 @@ _COUNT_LIMIT = 2**53
 _ACTIVITY_KINDS = frozenset({_TYPING_BURST, _COMMAND_USE, _EDIT_APPLIED})
 
 
+#: The payload fields of each kind; an event drops every other key.
+_PAYLOAD_FIELDS = {
+    _TYPING_BURST: ("chars_typed", "duration_ms"),
+    _PAUSE: (),
+    _FILE_NAV: ("open_files", "file_lines"),
+    _COMMAND_USE: ("command",),
+    _DIAGNOSTIC: ("warnings", "errors", "breakpoints"),
+    _SUGGESTION_SHOWN: ("suggestion_id",),
+    _SUGGESTION_ACCEPTED: ("suggestion_id",),
+    _SUGGESTION_REQUESTED: ("prompt_length", "suggestion_id", "task_complexity"),
+    _EDIT_APPLIED: ("lines_added",),
+}
+
+
+def _checked(name: str, value):
+    """The value an event keeps: a string id, a finite complexity, a command
+    ingest counts apart or else PaletteAction, or a count in [0, 2**53)."""
+    if name == "command":
+        return value if value in (_UNDO, _QUICK_FIX, _TERMINAL_TOGGLE) else "PaletteAction"
+    if name == "suggestion_id":
+        ok = isinstance(value, str)
+    elif name == "task_complexity":
+        ok = not isinstance(value, bool) and isinstance(value, (int, float)) and math.isfinite(value)
+    else:
+        value = value if type(value) is int else whole_number(value)
+        ok = 0 <= value < _COUNT_LIMIT
+    if not ok:
+        raise ValueError(f"{value!r} is not a valid {name}")
+    return value
+
+
 @dataclass(frozen=True)
 class TelemetryEvent:
-    """One timestamped editor interaction fact.
-
-    ``timestamp`` is milliseconds since epoch. ``payload`` holds
-    kind-specific numeric fields (see the collector contract); it never
-    contains code, prompt text, or file paths.
-    """
+    """One timestamped editor interaction fact, checked once, when it is made:
+    ``timestamp`` is whole ms since epoch, ``kind`` may be given by value, and
+    ``payload`` keeps only its kind's ``_PAYLOAD_FIELDS``, each as ``_checked``
+    returns it, so no code or prompt text outlives construction. A field left
+    out stays out. A bad event raises ``SchemaError``."""
 
     session_id: str
     timestamp: int
     kind: TelemetryKind
     payload: dict = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.session_id, str) or not isinstance(self.payload, dict):
+            raise SchemaError("an event needs a string session_id and a dict payload")
+        kind, payload, name = self.kind, {}, "kind"
+        try:
+            if type(kind) is not TelemetryKind:
+                object.__setattr__(self, "kind", kind := TelemetryKind(kind))
+            if type(self.timestamp) is not int:
+                name = "timestamp"
+                object.__setattr__(self, "timestamp", whole_number(self.timestamp))
+            fields = _PAYLOAD_FIELDS[kind]
+            for name, value in self.payload.items():
+                if name in fields:
+                    payload[name] = _checked(name, value)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise SchemaError(f"bad {name} in a telemetry event: {exc}") from exc
+        object.__setattr__(self, "payload", payload)
 
     def to_json_dict(self) -> dict:
         return {
@@ -92,17 +141,9 @@ class TelemetryEvent:
     def from_json_dict(cls, obj: dict) -> "TelemetryEvent":
         """Build an event from a decoded JSON object; unknown fields ignored."""
         try:
-            kind = TelemetryKind(obj["kind"])
-            if not isinstance(obj["session_id"], str):
-                raise TypeError(f"session_id must be a string, got {obj['session_id']!r}")
-            return cls(
-                session_id=obj["session_id"],
-                timestamp=whole_number(obj["timestamp"]),
-                kind=kind,
-                payload=dict(obj.get("payload") or {}),
-            )
-        except (KeyError, ValueError, TypeError, OverflowError) as exc:
-            raise SchemaError(f"bad telemetry event: {exc}") from exc
+            return cls(obj["session_id"], obj["timestamp"], obj["kind"], obj.get("payload") or {})
+        except KeyError as exc:
+            raise SchemaError(f"bad telemetry event: no {exc}") from exc
 
 
 @dataclass(slots=True)
@@ -190,13 +231,12 @@ def _pending_label(anchor: int, kind: TelemetryKind, timestamp: int) -> Optional
 
 
 def ingest_event(state: SessionState, event: TelemetryEvent) -> SessionState:
-    """Fold one event into the session state, closing windows on minute rollover.
-
-    Raises RejectOutOfOrder if the event is older than the session's last
-    activity by more than the tolerance (corrupt stream) or falls in a minute
-    before the open window, and SchemaError if a count in the payload is not
-    a whole number (``whole_number``) in [0, 2**53); either way the state is
-    left as it was.
+    """Fold one event, whose payload was checked when it was made, into the
+    session state, closing windows on minute rollover. A carried gauge the
+    payload omits keeps its last value; any other omitted count is 0. Raises
+    RejectOutOfOrder, leaving the state as it was, if the event is older than
+    the session's last activity by more than the tolerance (corrupt stream)
+    or falls in a minute before the open window.
     """
     if event.session_id != state.session_id:
         raise ValueError(
@@ -211,79 +251,49 @@ def ingest_event(state: SessionState, event: TelemetryEvent) -> SessionState:
     bucket = window_start_for(event.timestamp)
     win = state.open_window
     if win is None:
-        win = BehaviorWindow(state.session_id, bucket)
+        win = state.open_window = BehaviorWindow(state.session_id, bucket)
     elif bucket > win.window_start:
-        win = BehaviorWindow(state.session_id, bucket, breakpoints=win.breakpoints,
-                             file_lines=win.file_lines, open_files=win.open_files)
+        state.last_window = win
+        win = state.open_window = BehaviorWindow(
+            state.session_id, bucket, breakpoints=win.breakpoints,
+            file_lines=win.file_lines, open_files=win.open_files)
     elif bucket < win.window_start:
         raise RejectOutOfOrder(
             f"event at {event.timestamp} falls before the open window at {win.window_start}"
         )
 
-    # Each branch parses its payload before it writes, and a new window joins
-    # the state only afterwards, so a bad payload changes nothing. A carried
-    # gauge the payload omits keeps its last value; any other omitted count
-    # is 0.
     payload = event.payload
     kind = event.kind
-    try:
-        if kind is _TYPING_BURST:
-            chars = payload.get("chars_typed", 0)
-            duration_ms = payload.get("duration_ms", 0)
-            if type(chars) is not int or type(duration_ms) is not int:
-                chars, duration_ms = whole_number(chars), whole_number(duration_ms)
-            if not (0 <= chars < _COUNT_LIMIT and 0 <= duration_ms < _COUNT_LIMIT):
-                raise ValueError("count outside [0, 2**53)")
-            seconds = duration_ms / 1000.0
-            win.chars_typed += chars
-            win.typing_time_s = min(win.typing_time_s + seconds, float(WINDOW_SECONDS))
-            state.total_chars += chars
-            state.total_typing_duration += seconds
-        elif kind is _PAUSE:
-            win.pause_count += 1
-        elif kind is _FILE_NAV:
-            open_files = payload.get("open_files", win.open_files)
-            file_lines = payload.get("file_lines", win.file_lines)
-            if type(open_files) is not int or type(file_lines) is not int:
-                open_files, file_lines = whole_number(open_files), whole_number(file_lines)
-            if not (0 <= open_files < _COUNT_LIMIT and 0 <= file_lines < _COUNT_LIMIT):
-                raise ValueError("count outside [0, 2**53)")
-            win.nav_events += 1
-            win.open_files, win.file_lines = open_files, file_lines
-        elif kind is _COMMAND_USE:
-            command = payload.get("command")
-            if command == _UNDO:
-                win.undo_count += 1
-            elif command == _QUICK_FIX:
-                win.quick_fix_count += 1
-            elif command == _TERMINAL_TOGGLE:
-                win.terminal_toggles += 1
-            else:
-                # PaletteAction, Copy, Paste: generic command surface.
-                win.palette_actions += 1
-        elif kind is _DIAGNOSTIC:
-            warnings = payload.get("warnings", 0)
-            errors = payload.get("errors", 0)
-            breakpoints = payload.get("breakpoints", win.breakpoints)
-            if type(warnings) is not int or type(errors) is not int or type(breakpoints) is not int:
-                warnings, errors, breakpoints = map(whole_number, (warnings, errors, breakpoints))
-            if not (0 <= warnings < _COUNT_LIMIT and 0 <= errors < _COUNT_LIMIT
-                    and 0 <= breakpoints < _COUNT_LIMIT):
-                raise ValueError("count outside [0, 2**53)")
-            win.warnings, win.errors, win.breakpoints = warnings, errors, breakpoints
-        elif kind is _EDIT_APPLIED:
-            lines = payload.get("lines_added", 0)
-            if type(lines) is not int:
-                lines = whole_number(lines)
-            if not 0 <= lines < _COUNT_LIMIT:
-                raise ValueError("count outside [0, 2**53)")
-            win.lines_added += lines
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise SchemaError(f"bad {kind.value} payload: {exc}") from exc
+    if kind is _TYPING_BURST:
+        chars = payload.get("chars_typed", 0)
+        seconds = payload.get("duration_ms", 0) / 1000.0
+        win.chars_typed += chars
+        win.typing_time_s = min(win.typing_time_s + seconds, float(WINDOW_SECONDS))
+        state.total_chars += chars
+        state.total_typing_duration += seconds
+    elif kind is _PAUSE:
+        win.pause_count += 1
+    elif kind is _FILE_NAV:
+        win.nav_events += 1
+        win.open_files = payload.get("open_files", win.open_files)
+        win.file_lines = payload.get("file_lines", win.file_lines)
+    elif kind is _COMMAND_USE:
+        command = payload.get("command")
+        if command == _UNDO:
+            win.undo_count += 1
+        elif command == _QUICK_FIX:
+            win.quick_fix_count += 1
+        elif command == _TERMINAL_TOGGLE:
+            win.terminal_toggles += 1
+        else:
+            win.palette_actions += 1
+    elif kind is _DIAGNOSTIC:
+        win.warnings = payload.get("warnings", 0)
+        win.errors = payload.get("errors", 0)
+        win.breakpoints = payload.get("breakpoints", win.breakpoints)
+    elif kind is _EDIT_APPLIED:
+        win.lines_added += payload.get("lines_added", 0)
 
-    if win is not state.open_window:
-        state.last_window = state.open_window
-        state.open_window = win
     anchor = state.pending_suggestion
     if anchor is not None:
         label = _pending_label(anchor, kind, event.timestamp)

@@ -107,7 +107,7 @@ class TestRecordsFromEvents:
         with pytest.raises(SchemaError):
             records_from_events(events)
 
-    @pytest.mark.parametrize("complexity", [MISSING, None, math.nan, math.inf, "0.5", True])
+    @pytest.mark.parametrize("complexity", [MISSING, None, math.nan, math.inf, "0.5", True, 10**400])
     def test_task_complexity_not_a_finite_number_raises(self, complexity):
         payload = {"suggestion_id": "a"}
         if complexity is not MISSING:
@@ -118,11 +118,8 @@ class TestRecordsFromEvents:
     @pytest.mark.parametrize("prompt_length", [2.5, True, "many", None, math.inf])
     def test_count_not_a_whole_number_raises(self, prompt_length):
         # Without the check such a log gave a record that from_json_dict refuses.
-        events = [request(0, suggestion_id="a", task_complexity=0.5, prompt_length=prompt_length),
-                  TelemetryEvent("s1", 0, TelemetryKind.SUGGESTION_SHOWN),
-                  TelemetryEvent("s1", 1_000, TelemetryKind.SUGGESTION_ACCEPTED)]
-        with pytest.raises(SchemaError, match="request 'a'"):
-            records_from_events(events)
+        with pytest.raises(SchemaError, match="prompt_length"):
+            request(0, suggestion_id="a", task_complexity=0.5, prompt_length=prompt_length)
 
     def test_shown_payload_with_the_old_answer_side_keys_is_ignored(self):
         # Logs written before suggestion_chars and decision_latency_ms were

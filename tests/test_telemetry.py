@@ -1,7 +1,10 @@
 from __future__ import annotations
 
 import copy
+import json
 from dataclasses import replace
+from pathlib import Path
+from tempfile import TemporaryDirectory
 
 import pytest
 from hypothesis import given, settings
@@ -9,6 +12,8 @@ from hypothesis import strategies as st
 
 from suggestgate.dataset import records_from_events
 from suggestgate.errors import RejectOutOfOrder, SchemaError
+from suggestgate.model import fit_logistic, save_model, split_to_arrays
+from suggestgate.synth import SynthConfig, synth_sessions
 from suggestgate.telemetry import (
     OUT_OF_ORDER_TOLERANCE_MS,
     SessionState,
@@ -337,6 +342,52 @@ class TestJsonl:
         assert next(rows) == {"a": 1}
         with pytest.raises(SchemaError):
             next(rows)
+
+
+#: Strings that no output of the package contains unless a payload leaks them.
+_MARKER = st.text(max_size=12).map(lambda text: "secret-" + text)
+
+
+class TestEventContract:
+    def test_kind_given_by_value_counts_and_serializes(self):
+        event = TelemetryEvent("s", 0, "TypingBurst", {"chars_typed": 50, "duration_ms": 1000})
+        assert ingest_event(SessionState("s"), event).total_chars == 50
+        assert event.to_json_dict() == {"session_id": "s", "timestamp": 0, "kind": "TypingBurst",
+                                        "payload": {"chars_typed": 50, "duration_ms": 1000}}
+        with pytest.raises(SchemaError):
+            TelemetryEvent("s", 0, "NoSuchKind")
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**16),
+           extras=st.lists(st.tuples(st.integers(0, 10**6), _MARKER, _MARKER), min_size=1,
+                           max_size=40))
+    def test_undeclared_payload_values_reach_no_output(self, seed, extras):
+        # Each extra puts a marker key holding a marker value into one event's
+        # payload and, on a CommandUse, makes another marker its command.
+        log = synth_sessions(SynthConfig(n_sessions=4, seed=seed)).events
+        bare = [event.to_json_dict() for event in log]
+        marked = copy.deepcopy(bare)
+        markers = []
+        for index, key, value in extras:
+            i = index % len(bare)
+            marked[i]["payload"][key] = value
+            if bare[i]["kind"] == "CommandUse":
+                bare[i]["payload"]["command"] = marked[i]["payload"]["command"] = key
+            markers += [key, value]
+        with TemporaryDirectory() as tmp:
+            out = Path(tmp)
+            write_jsonl(marked, out / "in.jsonl")
+            events = [TelemetryEvent.from_json_dict(obj) for obj in read_jsonl(out / "in.jsonl")]
+            records, _ = records_from_events(events)
+            write_jsonl((event.to_json_dict() for event in events), out / "events.jsonl")
+            write_jsonl((record.to_json_dict() for record in records), out / "records.jsonl")
+            save_model(fit_logistic(*split_to_arrays(records), (1.0, 1.0)), out / "model.json")
+            written = "".join((out / name).read_text(encoding="utf-8")
+                              for name in ("events.jsonl", "records.jsonl", "model.json"))
+        for marker in markers:
+            assert marker not in written and json.dumps(marker)[1:-1] not in written
+        plain, _ = records_from_events(TelemetryEvent.from_json_dict(obj) for obj in bare)
+        assert [record.x for record in records] == [record.x for record in plain]
 
 
 # One step of a generated stream: a gap in ms, then an event kind (or a
