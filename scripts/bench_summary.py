@@ -7,11 +7,13 @@ For every workload in the file and every end-to-end metric that
 quartiles, the pairs the change won out of the pairs run (a pair is one
 seed run on both sides; a tie counts for neither side) and how many tied,
 how much worse the change's median is than the parent's against the
-metric's bound, and
-whether a gain may be claimed: the change wins at least nine tenths of the
-pairs and the medians differ, in the better direction, by more than the
-distance between the parent's quartiles. A line per workload before them
-counts the failed operations of each side.
+metric's bound, and whether a gain may be claimed: the change wins at least
+nine tenths of the pairs and the medians differ, in the better direction,
+by more than the distance between the parent's quartiles. The comparison
+with the bound reads ``unresolved`` when either side's quartile distance is
+wider than the bound times its median, unless every change run is better
+than every parent run. A line per workload before them counts the failed
+operations of each side.
 """
 
 from __future__ import annotations
@@ -52,12 +54,18 @@ def metric_line(workload: str, metric: dict, seed_pairs: list[tuple[float, float
     gain = sign * (p50 - c50)
     claim = won >= 0.9 * len(seed_pairs) and gain > p75 - p25
     worse = -gain / abs(p50) if p50 else 0.0
+    bound = metric["bound"]
+    spread = p75 - p25 > bound * abs(p50) or c75 - c25 > bound * abs(c50)
+    every_run_better = np.max(sign * change) < np.min(sign * parent)
+    if spread and not every_run_better:
+        verdict = "unresolved"
+    else:
+        verdict = "within" if worse <= bound else "OUTSIDE"
     return (
         f"{workload} {metric['name']} ({metric['unit']}, {metric['better']} is better): "
         f"parent {_fmt(p50)} [{_fmt(p25)}-{_fmt(p75)}], change {_fmt(c50)} [{_fmt(c25)}-{_fmt(c75)}], "
-        f"won {won}/{len(seed_pairs)} ({tied} tied), worse by {worse:+.1%} (bound {metric['bound']:.0%}, "
-        f"{'within' if worse <= metric['bound'] else 'OUTSIDE'}), "
-        f"claim {'holds' if claim else 'does not hold'}"
+        f"won {won}/{len(seed_pairs)} ({tied} tied), worse by {worse:+.1%} (bound {bound:.0%}, "
+        f"{verdict}), claim {'holds' if claim else 'does not hold'}"
     )
 
 

@@ -1,6 +1,9 @@
 """Labeled suggestion records, built from an event log, and the
 train/validation/test split protocol.
 
+Records live in memory only: the event log is the one persisted form, and
+``records_from_events`` rebuilds the records from it.
+
 The split fractions are fixed at 64/16/20 (train/validation/test). Every
 split keeps sessions whole, stratified by each session's accepted count;
 only the seed varies.
@@ -8,14 +11,13 @@ only the seed varies.
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from .errors import SchemaError, SingleClass, TooFewRecords
 from .features import FEATURE_NAMES, build_feature_vector
-from .telemetry import SessionState, TelemetryEvent, TelemetryKind, ingest_event, whole_number
+from .telemetry import SessionState, TelemetryEvent, TelemetryKind, ingest_event
 
 FRACTIONS = (0.64, 0.16, 0.20)
 SPLIT_NAMES = ("train", "validation", "test")
@@ -29,7 +31,6 @@ class SuggestionRecord:
     y: int  # 1 accepted, 0 rejected
     timestamp: int
     session_id: str
-    prompt_length: int = 0
 
     def __post_init__(self) -> None:
         if self.y not in (0, 1):
@@ -39,43 +40,15 @@ class SuggestionRecord:
                 f"record has {len(self.x)} features, expected {len(FEATURE_NAMES)}"
             )
 
-    def to_json_dict(self) -> dict:
-        return {
-            "x": list(self.x),
-            "y": self.y,
-            "timestamp": self.timestamp,
-            "session_id": self.session_id,
-            "prompt_length": self.prompt_length,
-        }
-
-    @classmethod
-    def from_json_dict(cls, obj: dict) -> "SuggestionRecord":
-        """Read a record; a missing ``x``, ``y`` or ``session_id``, non-finite
-        features, fractional integers or a ``session_id`` that is not a
-        string raise ``SchemaError``."""
-        try:
-            x = tuple(float(v) for v in obj["x"])
-            if not all(map(math.isfinite, x)):
-                raise ValueError("features are not all finite")
-            if not isinstance(obj["session_id"], str):
-                raise TypeError(f"session_id must be a string, got {obj['session_id']!r}")
-            return cls(
-                x=x,
-                y=whole_number(obj["y"]),
-                timestamp=whole_number(obj.get("timestamp", 0)),
-                session_id=obj["session_id"],
-                prompt_length=whole_number(obj.get("prompt_length", 0)),
-            )
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            raise SchemaError(f"bad suggestion record: {exc}") from exc
-
 
 def records_from_events(events: Iterable[TelemetryEvent]) -> tuple[list[SuggestionRecord], list[str]]:
     """Label the suggestion requests of an event log by ingest's lifecycle rule.
 
-    Events stream through ``ingest_event``, one ``SessionState`` per session,
-    and a request's vector is built before the request is ingested, as the
-    gate builds it. A ``SuggestionShown`` shows the session's latest request
+    Events stream through ``ingest_event``, one ``SessionState`` per session.
+    A request's vector is built before the request is ingested. That order is
+    the rule for now: the package has no gate loop to follow, and perfbench's
+    replay ingests the request first, which changes about a quarter of its
+    vectors. A ``SuggestionShown`` shows the session's latest request
     not yet shown, which resolves at the event that moves ``accepted_count``
     (y = 1) or ``rejected_count`` (y = 0). Returns the records in request
     order, and the ids of requests never shown or still pending at the end.
@@ -96,8 +69,7 @@ def records_from_events(events: Iterable[TelemetryEvent]) -> tuple[list[Suggesti
                                   f"got {sid!r} and {complexity!r}")
             unshown[session] = sid
             requests[sid] = {"x": build_feature_vector(state, complexity, at=event.timestamp).values,
-                             "timestamp": event.timestamp, "session_id": session,
-                             "prompt_length": payload.get("prompt_length", 0)}
+                             "timestamp": event.timestamp, "session_id": session}
         counts = state.accepted_count, state.rejected_count
         ingest_event(state, event)
         if (state.accepted_count, state.rejected_count) != counts and session in showing:

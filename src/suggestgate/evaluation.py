@@ -178,8 +178,12 @@ def bootstrap_std(
     n_resamples: int = 1000,
     seed: int = 0,
 ) -> float:
-    """Std. dev. of a metric over bootstrap resamples (degenerate draws skipped)."""
+    """Std. dev. of a metric over bootstrap resamples (degenerate draws
+    skipped). Labels of one class raise ``SingleClass``: every draw would be
+    degenerate."""
     scores, labels = _validate_pair(scores, labels)
+    if labels.sum() in (0, labels.size):
+        raise SingleClass("bootstrap resamples require both classes")
     rng = np.random.default_rng(seed)
     values = []
     for _ in range(n_resamples):

@@ -23,7 +23,7 @@ import numpy as np
 from .dataset import SuggestionRecord, records_from_events
 from .errors import InvalidConfig
 from .model import _sigmoid
-from .telemetry import TelemetryEvent, TelemetryKind, write_jsonl
+from .telemetry import TelemetryEvent, TelemetryKind
 
 FLOW = "flow"
 EXPLORATORY = "exploratory"
@@ -137,7 +137,6 @@ class SynthResult:
     p_true: np.ndarray  # each record's true acceptance probability, in record order
     bias: float
     realized_acceptance: float
-    config: SynthConfig
 
 
 _START_EPOCH_MS = 1_700_000_000_000  # session s starts 9 s after session s - 1
@@ -312,9 +311,4 @@ def synth_sessions(config: SynthConfig) -> SynthResult:
                                    payload={"suggestion_id": sid}))
     records, _ = records_from_events(log)
     return SynthResult(events=log, records=records, p_true=np.array(p_true), bias=bias,
-                       realized_acceptance=rate, config=config)
-
-
-def write_synth_outputs(result: SynthResult, events_path, records_path) -> None:
-    write_jsonl((event.to_json_dict() for event in result.events), events_path)
-    write_jsonl((record.to_json_dict() for record in result.records), records_path)
+                       realized_acceptance=rate)

@@ -11,7 +11,8 @@ import json
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Iterator, Optional
+from types import MappingProxyType
+from typing import Iterable, Iterator, Mapping, Optional
 
 from .errors import RejectOutOfOrder, SchemaError
 
@@ -104,15 +105,18 @@ class TelemetryEvent:
     ``timestamp`` is whole ms since epoch, ``kind`` may be given by value, and
     ``payload`` keeps only its kind's ``_PAYLOAD_FIELDS``, each as ``_checked``
     returns it, so no code or prompt text outlives construction. A field left
-    out stays out. A bad event raises ``SchemaError``."""
+    out stays out. The kept payload is read-only, so no value can skip the
+    check later. A bad event raises ``SchemaError``."""
 
     session_id: str
     timestamp: int
     kind: TelemetryKind
-    payload: dict = field(default_factory=dict)
+    payload: Mapping = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if not isinstance(self.session_id, str) or not isinstance(self.payload, dict):
+        # A read-only payload comes back in through dataclasses.replace.
+        if not (isinstance(self.session_id, str)
+                and isinstance(self.payload, (dict, MappingProxyType))):
             raise SchemaError("an event needs a string session_id and a dict payload")
         kind, payload, name = self.kind, {}, "kind"
         try:
@@ -127,7 +131,11 @@ class TelemetryEvent:
                     payload[name] = _checked(name, value)
         except (TypeError, ValueError, OverflowError) as exc:
             raise SchemaError(f"bad {name} in a telemetry event: {exc}") from exc
-        object.__setattr__(self, "payload", payload)
+        object.__setattr__(self, "payload", MappingProxyType(payload))
+
+    def __reduce__(self):
+        # A mappingproxy does not pickle: copies and pickles rebuild through the constructor.
+        return type(self), (self.session_id, self.timestamp, self.kind, dict(self.payload))
 
     def to_json_dict(self) -> dict:
         return {

@@ -15,15 +15,18 @@ BENCHMARK = {
         {"name": "events_per_s", "unit": "events/s", "better": "higher", "bound": 0.25},
         {"name": "decision_p50_us", "unit": "us", "better": "lower", "bound": 0.25},
         {"name": "roc_auc", "unit": "ratio", "better": "higher", "bound": 0.15},
+        {"name": "decision_p99_us", "unit": "us", "better": "lower", "bound": 0.25},
+        {"name": "gated_acceptance_rate", "unit": "ratio", "better": "higher", "bound": 0.25},
     ]
 }
 
-# side, seed, failed, setup_s, events_per_s, decision_p50_us, roc_auc
+# side, seed, failed, setup_s, events_per_s, decision_p50_us, roc_auc,
+# decision_p99_us, gated_acceptance_rate
 _RUNS = [
-    ("parent", 1, 0, 1.0, 100_000.0, 28.0, 0.79),
-    ("change", 1, 0, 2.0, 120_000.0, 12.0, 0.79),
-    ("change", 2, 1, 2.0, 110_000.0, 11.0, 0.80),
-    ("parent", 2, 0, 1.0, 110_000.0, 30.0, 0.80),
+    ("parent", 1, 0, 1.0, 100_000.0, 28.0, 0.79, 15.0, 0.2),
+    ("change", 1, 0, 2.0, 120_000.0, 12.0, 0.79, 10.0, 0.5),
+    ("change", 2, 1, 2.0, 110_000.0, 11.0, 0.80, 20.0, 0.6),
+    ("parent", 2, 0, 1.0, 110_000.0, 30.0, 0.80, 16.0, 0.4),
 ]
 
 
@@ -72,6 +75,22 @@ def test_regression_beyond_bound_is_flagged():
     line = _lines()["setup_s"]
     assert "worse by +100.0% (bound 25%, OUTSIDE)" in line
     assert line.endswith("claim does not hold")
+
+
+def test_spread_wider_than_the_bound_is_unresolved():
+    # The change's quartiles span 5 us about a 15 us median: a third, wider
+    # than the 25% bound, so an equal median shows nothing.
+    line = _lines()["decision_p99_us"]
+    assert "change 15 [12.5-17.5]" in line
+    assert "worse by -3.2% (bound 25%, unresolved)" in line
+
+
+def test_wide_spread_resolves_when_every_change_run_is_better():
+    # The parent's quartiles span a third of its median, but the worst
+    # change run still beats the best parent run.
+    line = _lines()["gated_acceptance_rate"]
+    assert "parent 0.3 [0.25-0.35]" in line
+    assert "(bound 25%, within)" in line
 
 
 def test_failed_operations_per_side():

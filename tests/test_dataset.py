@@ -9,9 +9,9 @@ from suggestgate.dataset import SuggestionRecord, class_weights, records_from_ev
 from suggestgate.errors import SchemaError, SingleClass, TooFewRecords
 from suggestgate.features import N_FEATURES
 from suggestgate.synth import SynthConfig, synth_sessions
-from suggestgate.telemetry import TelemetryEvent, TelemetryKind, read_jsonl, write_jsonl
+from suggestgate.telemetry import TelemetryEvent, TelemetryKind
 
-#: Stands for a field left out of a JSON object.
+#: Stands for a payload field left out.
 MISSING = object()
 
 
@@ -25,7 +25,6 @@ def make_records(n_pos: int, n_neg: int, sessions: int = 8) -> list[SuggestionRe
                 y=1 if i < n_pos else 0,
                 timestamp=i * 1000,
                 session_id=f"s{i % sessions}",
-                prompt_length=rng.randrange(500),
             )
         )
     return records
@@ -37,54 +36,6 @@ class TestSuggestionRecord:
             SuggestionRecord(x=(0.0,) * N_FEATURES, y=2, timestamp=0, session_id="s")
         with pytest.raises(ValueError):
             SuggestionRecord(x=(0.0,) * 3, y=1, timestamp=0, session_id="s")
-
-    def test_jsonl_round_trip(self, tmp_path):
-        records = make_records(4, 16)
-        path = tmp_path / "records.jsonl"
-        write_jsonl((r.to_json_dict() for r in records), path)
-        assert [SuggestionRecord.from_json_dict(o) for o in read_jsonl(path)] == records
-
-    def test_bad_line_raises(self, tmp_path):
-        path = tmp_path / "bad.jsonl"
-        path.write_text('{"x": [1, 2], "y": 1}\n')
-        with pytest.raises(SchemaError):
-            [SuggestionRecord.from_json_dict(o) for o in read_jsonl(path)]
-
-    @pytest.mark.parametrize(
-        "field, value",
-        [
-            ("y", 0.9),
-            ("y", 1.7),
-            ("y", "1"),
-            ("y", math.inf),
-            ("timestamp", math.inf),
-            ("timestamp", 1.7),
-            ("prompt_length", 2.5),
-            ("x", [math.inf] + [0.0] * (N_FEATURES - 1)),
-            ("x", [0.0] * (N_FEATURES - 1) + [math.nan]),
-            ("session_id", MISSING),
-            ("session_id", None),
-            ("session_id", [1, 2]),
-            ("session_id", 7),
-            ("y", True),
-        ],
-    )
-    def test_bad_value_raises_schema_error(self, field, value):
-        # json.loads reads a JSON Infinity as math.inf, and NaN as math.nan.
-        obj = make_records(1, 0)[0].to_json_dict()
-        if value is MISSING:
-            del obj[field]
-        else:
-            obj[field] = value
-        with pytest.raises(SchemaError):
-            SuggestionRecord.from_json_dict(obj)
-
-    def test_line_with_the_old_answer_side_keys_reads(self):
-        # Record files written before suggestion_chars and decision_latency_ms
-        # were dropped still carry them.
-        obj = make_records(1, 0)[0].to_json_dict()
-        old = {**obj, "suggestion_chars": 120, "decision_latency_ms": 35}
-        assert SuggestionRecord.from_json_dict(old) == SuggestionRecord.from_json_dict(obj)
 
 
 def request(t: int, **payload) -> TelemetryEvent:
@@ -117,7 +68,7 @@ class TestRecordsFromEvents:
 
     @pytest.mark.parametrize("prompt_length", [2.5, True, "many", None, math.inf])
     def test_count_not_a_whole_number_raises(self, prompt_length):
-        # Without the check such a log gave a record that from_json_dict refuses.
+        # No record carries prompt_length, but the request event still checks it.
         with pytest.raises(SchemaError, match="prompt_length"):
             request(0, suggestion_id="a", task_complexity=0.5, prompt_length=prompt_length)
 
@@ -131,15 +82,14 @@ class TestRecordsFromEvents:
         plain = events[:1] + [TelemetryEvent("s1", 0, TelemetryKind.SUGGESTION_SHOWN)] + events[2:]
         assert records_from_events(events) == records_from_events(plain)
 
-    def test_whole_number_counts_give_a_record_that_reads_back(self):
+    def test_whole_number_count_is_kept_as_an_int(self):
         events = [request(0, suggestion_id="a", task_complexity=0.5, prompt_length=40.0),
                   TelemetryEvent("s1", 0, TelemetryKind.SUGGESTION_SHOWN),
                   TelemetryEvent("s1", 1_000, TelemetryKind.SUGGESTION_ACCEPTED)]
+        prompt_length = events[0].payload["prompt_length"]
+        assert prompt_length == 40 and type(prompt_length) is int
         (record,), unresolved = records_from_events(events)
-        assert unresolved == []
-        assert record.prompt_length == 40
-        assert type(record.prompt_length) is int
-        assert SuggestionRecord.from_json_dict(record.to_json_dict()) == record
+        assert unresolved == [] and record.y == 1
 
 
 class TestStratifiedSplit:

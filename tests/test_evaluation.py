@@ -257,6 +257,11 @@ class TestMetricReport:
         b = bootstrap_std(roc_auc, scores, labels, n_resamples=50, seed=9)
         assert a == b
 
+    @pytest.mark.parametrize("label", [0, 1])
+    def test_bootstrap_of_one_class_raises(self, label):
+        with pytest.raises(SingleClass):
+            bootstrap_std(roc_auc, np.linspace(0, 1, 20), np.full(20, label), n_resamples=10)
+
 
 def _single_signal_model_and_data(n=300, d=4, seed=0):
     rng = np.random.default_rng(seed)

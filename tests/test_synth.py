@@ -4,12 +4,12 @@ import sys
 
 import pytest
 
-from suggestgate.dataset import SuggestionRecord, class_weights, records_from_events, stratified_split
+from suggestgate.dataset import class_weights, records_from_events, stratified_split
 from suggestgate import features, synth
 from suggestgate.errors import InvalidConfig
 from suggestgate.evaluation import roc_auc
 from suggestgate.model import fit_logistic, fit_tree_ensemble, predict_proba_batch, split_to_arrays
-from suggestgate.synth import SynthConfig, _draw, _outcomes, synth_sessions, write_synth_outputs
+from suggestgate.synth import SynthConfig, _draw, _outcomes, synth_sessions
 from suggestgate.telemetry import TelemetryEvent, TelemetryKind, read_jsonl, write_jsonl
 
 SMALL_CONFIGS = pytest.mark.parametrize(
@@ -19,25 +19,27 @@ SMALL_CONFIGS = pytest.mark.parametrize(
 )
 
 
-class TestOutputs:
-    def test_round_trip(self, tmp_path):
-        result = synth_sessions(SynthConfig(n_sessions=2, mean_session_minutes=6))
-        events, records = tmp_path / "e.jsonl", tmp_path / "r.jsonl"
-        write_synth_outputs(result, events, records)
-        assert result.records
-        assert [TelemetryEvent.from_json_dict(o) for o in read_jsonl(events)] == result.events
-        assert [SuggestionRecord.from_json_dict(o) for o in read_jsonl(records)] == result.records
+def write_events(result, path) -> None:
+    write_jsonl((event.to_json_dict() for event in result.events), path)
 
-    def test_events_file_rebuilds_the_records_file(self, tmp_path):
+
+class TestOutputs:
+    def test_events_file_round_trip(self, tmp_path):
+        result = synth_sessions(SynthConfig(n_sessions=2, mean_session_minutes=6))
+        path = tmp_path / "e.jsonl"
+        write_events(result, path)
+        assert result.records
+        assert [TelemetryEvent.from_json_dict(o) for o in read_jsonl(path)] == result.events
+
+    def test_events_file_rebuilds_the_records(self, tmp_path):
         # The log carries every outcome: the records come from it alone.
-        events, records, rebuilt = (tmp_path / n for n in ("e.jsonl", "r.jsonl", "rebuilt.jsonl"))
-        write_synth_outputs(synth_sessions(SynthConfig(n_sessions=8, seed=1)), events, records)
-        rebuilt_records, unresolved = records_from_events(
-            TelemetryEvent.from_json_dict(o) for o in read_jsonl(events)
+        result = synth_sessions(SynthConfig(n_sessions=8, seed=1))
+        write_events(result, tmp_path / "e.jsonl")
+        rebuilt, unresolved = records_from_events(
+            TelemetryEvent.from_json_dict(o) for o in read_jsonl(tmp_path / "e.jsonl")
         )
-        write_jsonl((record.to_json_dict() for record in rebuilt_records), rebuilt)
         assert unresolved == []
-        assert rebuilt.read_bytes() == records.read_bytes()
+        assert rebuilt == result.records
 
     def test_one_feature_build_per_request(self, monkeypatch):
         # The truth comes from the draw: only records_from_events builds
@@ -72,11 +74,11 @@ class TestGroundTruth:
 
     @SMALL_CONFIGS
     def test_two_runs_write_identical_files(self, config, tmp_path):
-        runs = [[tmp_path / f"{run}-{name}.jsonl" for name in ("e", "r")] for run in "ab"]
-        for paths in runs:
-            write_synth_outputs(synth_sessions(config), *paths)
-        for a, b in zip(*runs):
-            assert a.read_bytes() == b.read_bytes()
+        results = [synth_sessions(config) for _ in "ab"]
+        for run, result in zip("ab", results):
+            write_events(result, tmp_path / f"{run}.jsonl")
+        assert (tmp_path / "a.jsonl").read_bytes() == (tmp_path / "b.jsonl").read_bytes()
+        assert results[0].records == results[1].records
 
     def test_oracle_ranks_test_split_at_least_as_well_as_fitted_models(self):
         # 100 sessions give about 400 test records; at 20-60 sessions the

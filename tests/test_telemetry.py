@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import copy
 import json
+import pickle
 from dataclasses import replace
 from pathlib import Path
 from tempfile import TemporaryDirectory
@@ -357,6 +358,22 @@ class TestEventContract:
         with pytest.raises(SchemaError):
             TelemetryEvent("s", 0, "NoSuchKind")
 
+    def test_payload_is_read_only_and_copies_are_equal(self):
+        # Writing into a checked payload would skip the check: -7 chars would
+        # ingest, and a code key would be written back out.
+        event = typing(0, chars=5)
+        with pytest.raises(TypeError):
+            event.payload["chars_typed"] = -7
+        with pytest.raises(TypeError):
+            event.payload["code"] = "def secret(): ..."
+        assert ingest_event(SessionState("s1"), event).total_chars == 5
+        assert event.to_json_dict()["payload"] == {"chars_typed": 5, "duration_ms": 2000}
+        for copied in (pickle.loads(pickle.dumps(event)), copy.deepcopy(event),
+                       replace(event, timestamp=7)):
+            assert replace(copied, timestamp=0) == event
+        with pytest.raises(TypeError):
+            copy.deepcopy(event).payload["chars_typed"] = -7
+
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 2**16),
            extras=st.lists(st.tuples(st.integers(0, 10**6), _MARKER, _MARKER), min_size=1,
@@ -380,10 +397,9 @@ class TestEventContract:
             events = [TelemetryEvent.from_json_dict(obj) for obj in read_jsonl(out / "in.jsonl")]
             records, _ = records_from_events(events)
             write_jsonl((event.to_json_dict() for event in events), out / "events.jsonl")
-            write_jsonl((record.to_json_dict() for record in records), out / "records.jsonl")
             save_model(fit_logistic(*split_to_arrays(records), (1.0, 1.0)), out / "model.json")
             written = "".join((out / name).read_text(encoding="utf-8")
-                              for name in ("events.jsonl", "records.jsonl", "model.json"))
+                              for name in ("events.jsonl", "model.json")) + repr(records)
         for marker in markers:
             assert marker not in written and json.dumps(marker)[1:-1] not in written
         plain, _ = records_from_events(TelemetryEvent.from_json_dict(obj) for obj in bare)
