@@ -336,6 +336,23 @@ class TestJsonl:
         with pytest.raises(SchemaError):
             parse_event_line("{" + ",".join(f'"{k}":{v}' for k, v in fields.items()) + "}")
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("task_complexity", v) for v in ("Infinity", "-Infinity", "NaN", "1e400", '"0.5"',
+                                          "true", "null")]
+        + [("suggestion_id", v) for v in ("null", "7", '["a"]')]
+        + [("prompt_length", v) for v in ("2.5", "-1", '"many"', str(2**53))],
+    )
+    def test_bad_request_payload_in_a_line_raises_schema_error(self, field, value):
+        # The events file is the one persisted form, so its reader is what
+        # keeps a non-finite feature or a fractional count out of the records.
+        payload = {"suggestion_id": '"a"', "task_complexity": "0.5", "prompt_length": "40",
+                   field: value}
+        line = ('{"session_id":"s","timestamp":5,"kind":"SuggestionRequested","payload":{'
+                + ",".join(f'"{k}":{v}' for k, v in payload.items()) + "}}")
+        with pytest.raises(SchemaError, match=field):
+            parse_event_line(line)
+
     def test_read_jsonl_skips_blank_lines_and_refuses_non_objects(self, tmp_path):
         path = tmp_path / "mixed.jsonl"
         path.write_text('{"a":1}\n\n  \n["a","list"]\n')
