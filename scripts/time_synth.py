@@ -1,14 +1,19 @@
-"""Time synth_sessions at 100 sessions in this checkout, and in a parent checkout.
+"""Time synth_sessions at 100 sessions, and the records built from its log, in
+this checkout and in a parent checkout.
 
     python3 scripts/time_synth.py --seeds 0 1 2
     python3 scripts/time_synth.py --seeds 0 1 2 3 4 5 --parent ../parent-checkout
 
 Each run is a fresh Python process that imports ``suggestgate`` from the
-checkout's ``src/`` and times one ``synth_sessions(SynthConfig(n_sessions=100,
-seed=s))`` call with ``time.perf_counter``; the import falls outside the
-timing. With ``--parent``, every seed runs on both checkouts, alternating
-which goes first. The script prints each run's seconds, then each side's
-median, and the change's median as a share of the parent's.
+checkout's ``src/`` and times, with ``time.perf_counter``, one
+``result = synth_sessions(SynthConfig(n_sessions=100, seed=s))`` call and then
+``records_from_events(result.events)`` apart; the import falls outside the
+timing. The records are timed too because they are what synth's caller trains
+on, so moving their build between synth and its caller saves nothing. With
+``--parent``, every seed runs on both checkouts, alternating which goes first.
+The script prints each run's synth and records seconds, then each side's
+medians of synth, records and their sum, and the change's medians as a share
+of the parent's.
 """
 
 from __future__ import annotations
@@ -24,19 +29,24 @@ ROOT = Path(__file__).resolve().parent.parent
 
 _CHILD = """\
 import sys, time
+from suggestgate.dataset import records_from_events
 from suggestgate.synth import SynthConfig, synth_sessions
 start = time.perf_counter()
-synth_sessions(SynthConfig(n_sessions=100, seed=int(sys.argv[1])))
-print(time.perf_counter() - start)
+result = synth_sessions(SynthConfig(n_sessions=100, seed=int(sys.argv[1])))
+middle = time.perf_counter()
+records_from_events(result.events)
+print(middle - start, time.perf_counter() - middle)
 """
 
 
-def time_run(checkout: Path, seed: int) -> float:
-    """Seconds of one ``synth_sessions`` call in a fresh process on ``checkout``."""
+def time_run(checkout: Path, seed: int) -> tuple[float, float]:
+    """Seconds of one ``synth_sessions`` call and of the records built from
+    its log, in a fresh process on ``checkout``."""
     env = {**os.environ, "PYTHONPATH": str(checkout / "src")}
     run = subprocess.run([sys.executable, "-c", _CHILD, str(seed)], cwd=checkout, env=env,
                          capture_output=True, text=True, check=True)
-    return float(run.stdout.strip().splitlines()[-1])
+    synth, records = run.stdout.strip().splitlines()[-1].split()
+    return float(synth), float(records)
 
 
 def main(argv=None) -> int:
@@ -48,16 +58,20 @@ def main(argv=None) -> int:
     sides = {"change": ROOT}
     if args.parent is not None:
         sides["parent"] = args.parent.resolve()
-    seconds: dict[str, list[float]] = {side: [] for side in sides}
+    seconds: dict[str, list[tuple[float, float, float]]] = {side: [] for side in sides}
     for i, seed in enumerate(args.seeds):
         for side in (list(sides) if i % 2 else list(reversed(sides))):
-            seconds[side].append(time_run(sides[side], seed))
-            print(f"seed {seed} {side}: {seconds[side][-1]:.3f} s", flush=True)
-    medians = {side: statistics.median(values) for side, values in seconds.items()}
-    for side, median in medians.items():
-        print(f"{side} median: {median:.3f} s")
+            synth, records = time_run(sides[side], seed)
+            seconds[side].append((synth, records, synth + records))
+            print(f"seed {seed} {side}: synth {synth:.3f} s, records {records:.3f} s", flush=True)
+    names = ("synth", "records", "both")
+    medians = {side: [statistics.median(column) for column in zip(*runs)]
+               for side, runs in seconds.items()}
+    for side, values in medians.items():
+        print(f"{side} median: " + ", ".join(f"{n} {v:.3f} s" for n, v in zip(names, values)))
     if "parent" in medians:
-        print(f"change / parent: {medians['change'] / medians['parent']:.2f}")
+        print("change / parent: " + ", ".join(
+            f"{n} {c / p:.2f}" for n, c, p in zip(names, medians["change"], medians["parent"])))
     return 0
 
 

@@ -179,11 +179,9 @@ def bootstrap_std(
     seed: int = 0,
 ) -> float:
     """Std. dev. of a metric over bootstrap resamples (degenerate draws
-    skipped). Labels of one class raise ``SingleClass``: every draw would be
-    degenerate."""
+    skipped). Fewer than two draws holding both classes, as with labels of
+    one class, raise ``SingleClass``."""
     scores, labels = _validate_pair(scores, labels)
-    if labels.sum() in (0, labels.size):
-        raise SingleClass("bootstrap resamples require both classes")
     rng = np.random.default_rng(seed)
     values = []
     for _ in range(n_resamples):
@@ -192,6 +190,9 @@ def bootstrap_std(
         if resampled.sum() in (0, resampled.size):
             continue
         values.append(metric(scores[idx], resampled))
+    if len(values) < 2:
+        raise SingleClass(f"{len(values)} of {n_resamples} bootstrap draws held both classes; "
+                          "the std needs two")
     return float(np.std(values, ddof=1))
 
 

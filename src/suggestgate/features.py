@@ -58,12 +58,6 @@ class FeatureVector:
                 f"feature vector has {len(self.values)} values, expected {N_FEATURES}"
             )
 
-    def __getitem__(self, name: str) -> float:
-        return self.values[FEATURE_NAMES.index(name)]
-
-    def as_dict(self) -> dict[str, float]:
-        return dict(zip(FEATURE_NAMES, self.values))
-
 
 def typing_efficiency(chars_typed: float, typing_time_s: float) -> float:
     """Characters per second of active typing."""

@@ -9,8 +9,8 @@ downstream number has an oracle that the pipeline under test does not
 compute. Behaviour is drawn once; the intercept is bisected over passes of
 the requests until the realized acceptance rate is within 0.002 of the
 configured base rate (0.1785-0.1819 for 0.18 at 100 sessions, seeds 0-9). The
-chosen pass is logged as events once, and the records come from that log
-alone.
+chosen pass is logged as events once, and the log is the whole output: its
+records come from ``dataset.records_from_events``, as any log's do.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dataset import SuggestionRecord, records_from_events
 from .errors import InvalidConfig
 from .model import _sigmoid
 from .telemetry import TelemetryEvent, TelemetryKind
@@ -133,10 +132,8 @@ class SynthConfig:
 @dataclass
 class SynthResult:
     events: list[TelemetryEvent]
-    records: list[SuggestionRecord]
-    p_true: np.ndarray  # each record's true acceptance probability, in record order
+    p_true: np.ndarray  # each request's true acceptance probability, in log order
     bias: float
-    realized_acceptance: float
 
 
 _START_EPOCH_MS = 1_700_000_000_000  # session s starts 9 s after session s - 1
@@ -262,7 +259,7 @@ _MAX_PASSES = 24
 
 
 def synth_sessions(config: SynthConfig) -> SynthResult:
-    """Generate telemetry with every outcome logged, and its training records.
+    """Generate telemetry with every outcome logged.
 
     Deterministic given the config seed (byte-identical logs). Behaviour is
     drawn once, then the intercept is bisected over passes of ``_outcomes``
@@ -272,9 +269,9 @@ def synth_sessions(config: SynthConfig) -> SynthResult:
     rate jump past the tolerance; after 24 passes, which narrow the bracket
     2**23-fold, the pass closest to the base rate is kept. Its outcomes are
     logged once: each request is followed by its SuggestionShown and, on
-    accept, its SuggestionAccepted, both at the request's timestamp. The
-    log becomes the records through ``records_from_events``, as any event
-    log does.
+    accept, its SuggestionAccepted, both at the request's timestamp. Every
+    request is shown and resolves, so ``p_true``, one per request in log
+    order, is also in the order of ``records_from_events(result.events)``.
     """
     config.validate()
     events, requests = _draw(config)
@@ -297,7 +294,7 @@ def synth_sessions(config: SynthConfig) -> SynthResult:
             lo = bias
         else:
             hi = bias
-    rate, bias, p_true, accepted = best
+    _, bias, p_true, accepted = best
     log: list[TelemetryEvent] = []
     outcomes = iter(accepted)
     for event in events:
@@ -309,6 +306,4 @@ def synth_sessions(config: SynthConfig) -> SynthResult:
             if next(outcomes):
                 log.append(replace(event, kind=TelemetryKind.SUGGESTION_ACCEPTED,
                                    payload={"suggestion_id": sid}))
-    records, _ = records_from_events(log)
-    return SynthResult(events=log, records=records, p_true=np.array(p_true), bias=bias,
-                       realized_acceptance=rate)
+    return SynthResult(events=log, p_true=np.array(p_true), bias=bias)

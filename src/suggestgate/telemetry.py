@@ -147,9 +147,10 @@ class TelemetryEvent:
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "TelemetryEvent":
-        """Build an event from a decoded JSON object; unknown fields ignored."""
+        """Build an event from a decoded JSON object; unknown fields ignored.
+        A missing payload is empty; one that is not an object is refused."""
         try:
-            return cls(obj["session_id"], obj["timestamp"], obj["kind"], obj.get("payload") or {})
+            return cls(obj["session_id"], obj["timestamp"], obj["kind"], obj.get("payload", {}))
         except KeyError as exc:
             raise SchemaError(f"bad telemetry event: no {exc}") from exc
 
@@ -158,18 +159,16 @@ class TelemetryEvent:
 class BehaviorWindow:
     """One-minute aggregate of telemetry counters; not written after it closes.
 
-    Sums: chars_typed, typing_time_s (at most 60 s), pause_count,
-    nav_events, command counters, lines_added. Gauges (last value seen):
+    Sums: chars_typed, typing_time_s (at most 60 s), pause_count, command
+    counters, lines_added. Gauges (last value seen):
     warnings and errors, per Diagnostic; breakpoints, open_files and
     file_lines, which carry over from the previous window.
     """
 
-    session_id: str
     window_start: int  # ms, multiple of WINDOW_MS
     chars_typed: int = 0
     typing_time_s: float = 0.0
     pause_count: int = 0
-    nav_events: int = 0
     undo_count: int = 0
     quick_fix_count: int = 0
     terminal_toggles: int = 0
@@ -196,7 +195,6 @@ class SessionState:
     rejected_count: int = 0
     total_typing_duration: float = 0.0
     total_chars: int = 0
-    suggestions_seen: int = 0
     last_activity: int = 0
     last_window: Optional[BehaviorWindow] = None
     open_window: Optional[BehaviorWindow] = None
@@ -259,11 +257,11 @@ def ingest_event(state: SessionState, event: TelemetryEvent) -> SessionState:
     bucket = window_start_for(event.timestamp)
     win = state.open_window
     if win is None:
-        win = state.open_window = BehaviorWindow(state.session_id, bucket)
+        win = state.open_window = BehaviorWindow(bucket)
     elif bucket > win.window_start:
         state.last_window = win
         win = state.open_window = BehaviorWindow(
-            state.session_id, bucket, breakpoints=win.breakpoints,
+            bucket, breakpoints=win.breakpoints,
             file_lines=win.file_lines, open_files=win.open_files)
     elif bucket < win.window_start:
         raise RejectOutOfOrder(
@@ -282,7 +280,6 @@ def ingest_event(state: SessionState, event: TelemetryEvent) -> SessionState:
     elif kind is _PAUSE:
         win.pause_count += 1
     elif kind is _FILE_NAV:
-        win.nav_events += 1
         win.open_files = payload.get("open_files", win.open_files)
         win.file_lines = payload.get("file_lines", win.file_lines)
     elif kind is _COMMAND_USE:
@@ -315,7 +312,6 @@ def ingest_event(state: SessionState, event: TelemetryEvent) -> SessionState:
             else:
                 state.rejected_count += 1
     if kind is _SUGGESTION_SHOWN:
-        state.suggestions_seen += 1
         state.pending_suggestion = event.timestamp
 
     state.last_activity = max(state.last_activity, event.timestamp)
@@ -328,41 +324,35 @@ def record_outcome(state: SessionState, accepted: bool) -> None:
     For callers that learn an outcome directly rather than from events,
     such as a replay that simulates the suggestion lifecycle.
     """
-    state.suggestions_seen += 1
     if accepted:
         state.accepted_count += 1
     else:
         state.rejected_count += 1
 
 
-def _json_object(line: str) -> dict:
-    """Decode one JSONL line; SchemaError unless it holds a JSON object."""
-    try:
-        obj = json.loads(line)
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"line is not JSON: {exc}") from exc
-    if not isinstance(obj, dict):
-        raise SchemaError("line is not a JSON object")
-    return obj
-
-
-def write_jsonl(dicts: Iterable[dict], path) -> None:
-    """Write one compact JSON object per line."""
+def write_events(events: Iterable[TelemetryEvent], path) -> None:
+    """Write an event log: one compact JSON object per event, one per line."""
     with open(path, "w", encoding="utf-8") as fh:
-        for obj in dicts:
-            fh.write(json.dumps(obj, separators=(",", ":")))
+        for event in events:
+            fh.write(json.dumps(event.to_json_dict(), separators=(",", ":")))
             fh.write("\n")
 
 
-def read_jsonl(path) -> Iterator[dict]:
-    """Yield the objects of a JSONL file, skipping blank lines; raises
-    SchemaError at the first line that is not a JSON object."""
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                yield _json_object(line)
-
-
-def parse_event_line(line: str) -> TelemetryEvent:
-    return TelemetryEvent.from_json_dict(_json_object(line))
+def read_events(path) -> Iterator[TelemetryEvent]:
+    """Yield the events of a log, skipping blank lines. A line that does not
+    hold an event (not UTF-8, not JSON, nested deeper than the decoder
+    allows, not an object, or not a valid event) raises SchemaError naming
+    its number."""
+    with open(path, "rb") as fh:
+        for number, line in enumerate(fh, 1):
+            try:
+                text = line.decode("utf-8")
+                if not text.strip():
+                    continue
+                obj = json.loads(text)
+                if not isinstance(obj, dict):
+                    raise SchemaError("not a JSON object")
+                event = TelemetryEvent.from_json_dict(obj)
+            except (ValueError, RecursionError, SchemaError) as exc:
+                raise SchemaError(f"line {number} holds no telemetry event: {exc}") from exc
+            yield event

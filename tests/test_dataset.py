@@ -163,7 +163,7 @@ class TestStratifiedSplit:
         # Over synth seeds 0-5 and split seeds 0-3 the largest gap between a
         # split's positive rate and the global rate was 0.048 (0.034 here);
         # placing shuffled sessions by absolute deficit, unsorted, reached 0.103.
-        records = synth_sessions(SynthConfig(n_sessions=60)).records
+        records, _ = records_from_events(synth_sessions(SynthConfig(n_sessions=60)).events)
         split = stratified_split(records, seed=0)
         parts = (split.train, split.validation, split.test)
         owners = [{r.session_id for r in part} for part in parts]

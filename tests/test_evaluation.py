@@ -262,6 +262,12 @@ class TestMetricReport:
         with pytest.raises(SingleClass):
             bootstrap_std(roc_auc, np.linspace(0, 1, 20), np.full(20, label), n_resamples=10)
 
+    @pytest.mark.parametrize("n_resamples, usable", [(0, 0), (3, 1)])
+    def test_bootstrap_with_fewer_than_two_usable_draws_raises(self, n_resamples, usable):
+        # A std needs two values: it was nan, with numpy warnings.
+        with pytest.raises(SingleClass, match=f"^{usable} of {n_resamples} bootstrap draws"):
+            bootstrap_std(roc_auc, [0.1, 0.9], [1, 0], n_resamples=n_resamples)
+
 
 def _single_signal_model_and_data(n=300, d=4, seed=0):
     rng = np.random.default_rng(seed)

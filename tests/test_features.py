@@ -68,6 +68,11 @@ def _typing(t: int, chars: int = 100, duration_ms: int = 20_000) -> TelemetryEve
                           {"chars_typed": chars, "duration_ms": duration_ms})
 
 
+def features_of(state: SessionState, complexity: float, at: int) -> dict[str, float]:
+    """The vector ``build_feature_vector`` builds, keyed by feature name."""
+    return dict(zip(FEATURE_NAMES, build_feature_vector(state, complexity, at).values))
+
+
 class TestFeatureVector:
     def test_fixed_order_contract(self):
         assert len(FEATURE_NAMES) == N_FEATURES == 21
@@ -77,11 +82,11 @@ class TestFeatureVector:
             FeatureVector(values=(0.0,) * 5)
 
     def test_fresh_session_all_stale(self):
-        fv = build_feature_vector(SessionState("s1"), complexity=0.0, at=0)
+        fv = features_of(SessionState("s1"), complexity=0.0, at=0)
         assert fv["context_stale"] == 1.0
         assert fv["typing_efficiency"] == 0.0
         assert fv["pause_count"] == 0.0
-        assert all(v == v for v in fv.values)  # no NaN
+        assert all(v == v for v in fv.values())  # no NaN
 
     def test_single_closed_window_identity_join(self):
         state = SessionState("s1")
@@ -91,7 +96,7 @@ class TestFeatureVector:
         ingest_event(state, TelemetryEvent("s1", 4_000, TelemetryKind.FILE_NAV,
                                            {"open_files": 2, "file_lines": 200}))
         ingest_event(state, _typing(61_000, chars=0, duration_ms=0))  # roll the window
-        fv = build_feature_vector(state, complexity=0.4, at=65_000)
+        fv = features_of(state, complexity=0.4, at=65_000)
         assert fv["context_stale"] == 0.0
         assert fv["pause_count"] == 1.0
         assert fv["lines_added"] == 6.0
@@ -111,7 +116,7 @@ class TestFeatureVector:
         ingest_event(state, TelemetryEvent("s1", 70_000, TelemetryKind.EDIT_APPLIED,
                                            {"lines_added": 5}))
         ingest_event(state, _typing(125_000))  # roll the window
-        fv = build_feature_vector(state, complexity=0.0, at=125_000)
+        fv = features_of(state, complexity=0.0, at=125_000)
         assert fv["context_stale"] == 0.0
         assert fv["file_size"] == 250.0
         assert fv["open_files"] == 3.0
@@ -164,8 +169,7 @@ class TestFeatureVector:
         }
         assert tuple(expected) == FEATURE_NAMES
         assert len(set(expected.values())) == N_FEATURES
-        fv = build_feature_vector(state, complexity=0.37, at=65_000)
-        assert fv.as_dict() == pytest.approx(expected, rel=1e-12)
+        assert features_of(state, complexity=0.37, at=65_000) == pytest.approx(expected, rel=1e-12)
 
     def test_stale_window_zeroed(self):
         # Walkthrough of the staleness rule: the window closed at t=60 s has
@@ -174,7 +178,7 @@ class TestFeatureVector:
         ingest_event(state, _typing(1_000))
         ingest_event(state, _typing(61_000, chars=0, duration_ms=0))
         at = 60_000 + 180_000
-        fv = build_feature_vector(state, complexity=0.0, at=at)
+        fv = features_of(state, complexity=0.0, at=at)
         assert fv["context_stale"] == 1.0
         assert fv["typing_efficiency"] == 0.0
         # Session-cumulative fields survive staleness.
@@ -184,7 +188,7 @@ class TestFeatureVector:
         state = SessionState("s1")
         ingest_event(state, _typing(1_000))
         ingest_event(state, _typing(61_000, chars=0, duration_ms=0))
-        fv = build_feature_vector(state, complexity=0.0, at=119_000)
+        fv = features_of(state, complexity=0.0, at=119_000)
         assert fv["context_stale"] == 0.0
 
     def test_determinism(self):
@@ -199,13 +203,7 @@ class TestFeatureVector:
         # With rejected count held fixed and positive, one more acceptance
         # strictly raises the acceptance ratio.
         state = SessionState("s1", accepted_count=3, rejected_count=4)
-        before = build_feature_vector(state, 0.0, at=0)["acceptance_ratio"]
+        before = features_of(state, 0.0, at=0)["acceptance_ratio"]
         state.accepted_count += 1
-        after = build_feature_vector(state, 0.0, at=0)["acceptance_ratio"]
+        after = features_of(state, 0.0, at=0)["acceptance_ratio"]
         assert after > before
-
-    def test_as_dict_round_trip(self):
-        fv = build_feature_vector(SessionState("s1"), 0.0, at=0)
-        d = fv.as_dict()
-        assert tuple(d.keys()) == FEATURE_NAMES
-        assert tuple(d.values()) == fv.values

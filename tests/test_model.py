@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from suggestgate import model as model_module
-from suggestgate.dataset import class_weights, stratified_split
+from suggestgate.dataset import class_weights, records_from_events, stratified_split
 from suggestgate.errors import Divergence, FeatureMismatch, LengthMismatch, ModelFormatError, SingleClass
 from suggestgate.features import N_FEATURES, FeatureVector
 from suggestgate.gate import Decision, Reason, should_trigger
@@ -248,7 +248,7 @@ class TestGradientCheck:
 def _synth_train(seed: int):
     """Train arrays and class weights of a 100-session synth run."""
     result = synth_sessions(SynthConfig(n_sessions=100, seed=seed))
-    split = stratified_split(result.records)
+    split = stratified_split(records_from_events(result.events)[0])
     X, y = split_to_arrays(split.train)
     return X, y, class_weights(split.train)
 

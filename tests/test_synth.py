@@ -10,7 +10,7 @@ from suggestgate.errors import InvalidConfig
 from suggestgate.evaluation import roc_auc
 from suggestgate.model import fit_logistic, fit_tree_ensemble, predict_proba_batch, split_to_arrays
 from suggestgate.synth import SynthConfig, _draw, _outcomes, synth_sessions
-from suggestgate.telemetry import TelemetryEvent, TelemetryKind, read_jsonl, write_jsonl
+from suggestgate.telemetry import TelemetryKind, read_events, write_events
 
 SMALL_CONFIGS = pytest.mark.parametrize(
     "config",
@@ -19,31 +19,27 @@ SMALL_CONFIGS = pytest.mark.parametrize(
 )
 
 
-def write_events(result, path) -> None:
-    write_jsonl((event.to_json_dict() for event in result.events), path)
-
-
 class TestOutputs:
     def test_events_file_round_trip(self, tmp_path):
         result = synth_sessions(SynthConfig(n_sessions=2, mean_session_minutes=6))
         path = tmp_path / "e.jsonl"
-        write_events(result, path)
-        assert result.records
-        assert [TelemetryEvent.from_json_dict(o) for o in read_jsonl(path)] == result.events
+        write_events(result.events, path)
+        assert list(read_events(path)) == result.events
 
     def test_events_file_rebuilds_the_records(self, tmp_path):
-        # The log carries every outcome: the records come from it alone.
+        # The log carries every outcome: each request becomes a record, one
+        # per true probability, and none is left unresolved.
         result = synth_sessions(SynthConfig(n_sessions=8, seed=1))
-        write_events(result, tmp_path / "e.jsonl")
-        rebuilt, unresolved = records_from_events(
-            TelemetryEvent.from_json_dict(o) for o in read_jsonl(tmp_path / "e.jsonl")
-        )
+        write_events(result.events, tmp_path / "e.jsonl")
+        rebuilt, unresolved = records_from_events(read_events(tmp_path / "e.jsonl"))
         assert unresolved == []
-        assert rebuilt == result.records
+        assert rebuilt == records_from_events(result.events)[0]
+        assert len(rebuilt) == len(result.p_true)
 
     def test_one_feature_build_per_request(self, monkeypatch):
-        # The truth comes from the draw: only records_from_events builds
-        # vectors, once per request, wherever the package binds the builder.
+        # The truth comes from the draw: synth builds no vector, and
+        # records_from_events builds one per request, wherever the package
+        # binds the builder.
         calls = []
         build = features.build_feature_vector
 
@@ -56,8 +52,10 @@ class TestOutputs:
                     and getattr(module, "build_feature_vector", None) is build):
                 monkeypatch.setattr(module, "build_feature_vector", counted)
         result = synth_sessions(SynthConfig(n_sessions=30, seed=3))
+        assert calls == []
+        records, _ = records_from_events(result.events)
         requests = [e for e in result.events if e.kind is TelemetryKind.SUGGESTION_REQUESTED]
-        assert len(calls) == len(requests) == len(result.records)
+        assert len(calls) == len(requests) == len(records)
 
 
 class TestGroundTruth:
@@ -66,26 +64,27 @@ class TestGroundTruth:
         # Ties each record to its request's own draw: the log rebuilds the
         # outcome that the uniform and the true probability gave.
         result = synth_sessions(config)
+        records, _ = records_from_events(result.events)
         requests = _draw(config)[1]
         draws = [uniform for _, uniform, _ in requests]
-        assert len(result.records) == len(draws) == len(result.p_true)
-        assert [r.y for r in result.records] == [int(d < p) for d, p in zip(draws, result.p_true)]
+        assert len(records) == len(draws) == len(result.p_true)
+        assert [r.y for r in records] == [int(d < p) for d, p in zip(draws, result.p_true)]
         assert list(result.p_true) == _outcomes(requests, config.base_acceptance, result.bias)[0]
 
     @SMALL_CONFIGS
     def test_two_runs_write_identical_files(self, config, tmp_path):
         results = [synth_sessions(config) for _ in "ab"]
         for run, result in zip("ab", results):
-            write_events(result, tmp_path / f"{run}.jsonl")
+            write_events(result.events, tmp_path / f"{run}.jsonl")
         assert (tmp_path / "a.jsonl").read_bytes() == (tmp_path / "b.jsonl").read_bytes()
-        assert results[0].records == results[1].records
+        assert list(results[0].p_true) == list(results[1].p_true)
 
     def test_oracle_ranks_test_split_at_least_as_well_as_fitted_models(self):
         # 100 sessions give about 400 test records; at 20-60 sessions the
         # test split is small enough that a fitted model can tie or edge past
         # the oracle by chance.
         result = synth_sessions(SynthConfig(n_sessions=100))
-        split = stratified_split(result.records)
+        split = stratified_split(records_from_events(result.events)[0])
         weights = class_weights(split.train)
         X_train, y_train = split_to_arrays(split.train)
         X_test, y_test = split_to_arrays(split.test)
@@ -122,7 +121,8 @@ class TestCalibration:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_realized_rate_meets_the_base_rate(self, base, seed):
         result = synth_sessions(SynthConfig(n_sessions=100, seed=seed, base_acceptance=base))
-        assert abs(result.realized_acceptance - base) <= 0.002
+        records, _ = records_from_events(result.events)
+        assert abs(sum(r.y for r in records) / len(records) - base) <= 0.002
 
     def test_a_higher_bias_only_adds_accepts(self):
         # Bisection on the bias needs the accepted set to grow with it.

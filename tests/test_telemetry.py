@@ -21,11 +21,10 @@ from suggestgate.telemetry import (
     TelemetryEvent,
     TelemetryKind,
     ingest_event,
-    parse_event_line,
-    read_jsonl,
+    read_events,
     record_outcome,
     window_start_for,
-    write_jsonl,
+    write_events,
 )
 
 
@@ -105,7 +104,6 @@ class TestWindowing:
         assert (win.undo_count, win.quick_fix_count, win.terminal_toggles) == (1, 1, 1)
         assert win.palette_actions == 1
         assert win.lines_added == 5
-        assert win.nav_events == 1
 
     def test_out_of_order_within_tolerance_accepted(self):
         state = SessionState("s1")
@@ -186,7 +184,6 @@ class TestSessionCounters:
         ingest_event(state, ev(TelemetryKind.SUGGESTION_SHOWN, 1_000, suggestion_id="a"))
         ingest_event(state, ev(TelemetryKind.SUGGESTION_ACCEPTED, 4_000, suggestion_id="a"))
         assert (state.accepted_count, state.rejected_count) == (1, 0)
-        assert state.suggestions_seen == 1
 
     def test_new_request_rejects_pending(self):
         state = SessionState("s1")
@@ -212,13 +209,14 @@ class TestSessionCounters:
         ]
         for event in events:
             ingest_event(state, event)
-        assert state.accepted_count + state.rejected_count <= state.suggestions_seen
+        shown = sum(event.kind is TelemetryKind.SUGGESTION_SHOWN for event in events)
+        assert state.accepted_count + state.rejected_count <= shown
 
     def test_record_outcome_updates_counters(self):
         state = SessionState("s1")
         record_outcome(state, accepted=True)
         record_outcome(state, accepted=False)
-        assert (state.accepted_count, state.rejected_count, state.suggestions_seen) == (1, 1, 2)
+        assert (state.accepted_count, state.rejected_count) == (1, 1)
 
 
 def request(t: int, suggestion_id: str) -> TelemetryEvent:
@@ -301,6 +299,17 @@ class TestLabeling:
         assert first_outcome(later) == 0
 
 
+#: A line that holds an event, for files whose later lines are under test.
+_PAUSE_LINE = '{"session_id":"s1","timestamp":5,"kind":"Pause","payload":{}}'
+
+
+def read_lines(tmp_path, *lines: str) -> list[TelemetryEvent]:
+    """The events ``read_events`` reads from a file of ``lines``."""
+    path = tmp_path / "events.jsonl"
+    path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    return list(read_events(path))
+
+
 class TestJsonl:
     def test_round_trip_lossless(self, tmp_path):
         events = [
@@ -309,32 +318,53 @@ class TestJsonl:
             ev(TelemetryKind.SUGGESTION_SHOWN, 3_000, suggestion_id="x1"),
         ]
         path = tmp_path / "events.jsonl"
-        write_jsonl((event.to_json_dict() for event in events), path)
-        assert [TelemetryEvent.from_json_dict(obj) for obj in read_jsonl(path)] == events
+        write_events(events, path)
+        assert list(read_events(path)) == events
 
-    def test_unknown_fields_ignored(self):
-        event = parse_event_line(
-            '{"session_id":"s1","timestamp":5,"kind":"Pause","payload":{},"extra":"ignored"}'
+    def test_unknown_fields_ignored_and_a_missing_payload_is_empty(self, tmp_path):
+        events = read_lines(
+            tmp_path,
+            '{"session_id":"s1","timestamp":5,"kind":"Pause","payload":{},"extra":"ignored"}',
+            '{"session_id":"s1","timestamp":6,"kind":"TypingBurst"}',
         )
-        assert event.kind is TelemetryKind.PAUSE
+        assert [event.kind for event in events] == [TelemetryKind.PAUSE, TelemetryKind.TYPING_BURST]
+        assert dict(events[1].payload) == {}
 
-    def test_malformed_line_raises_schema_error(self):
-        with pytest.raises(SchemaError):
-            parse_event_line("not json")
-        with pytest.raises(SchemaError):
-            parse_event_line('{"session_id":"s1","timestamp":5,"kind":"NoSuchKind"}')
-        with pytest.raises(SchemaError):
-            parse_event_line('["a","list"]')
+    @pytest.mark.parametrize(
+        "line",
+        ["not json", '{"session_id":"s1","timestamp":5,"kind":"NoSuchKind"}', '["a","list"]',
+         "[" * 100_000, '{"session_id":"s1","timestamp":5,"kind":"Pause","payload":'
+         + "[" * 100_000],
+        ids=["not-json", "unknown-kind", "not-an-object", "nested-array", "nested-payload"],
+    )
+    def test_line_without_an_event_raises_schema_error_naming_it(self, tmp_path, line):
+        # Line 1 holds an event and line 2 is blank, so the error names line 3.
+        # A line nested past the decoder's depth raised a bare RecursionError.
+        with pytest.raises(SchemaError, match="^line 3 "):
+            read_lines(tmp_path, _PAUSE_LINE, "", line)
+
+    def test_line_not_utf8_raises_schema_error_naming_it(self, tmp_path):
+        path = tmp_path / "events.jsonl"
+        path.write_bytes(_PAUSE_LINE.encode() + b'\n{"session_id":"s\xff"}\n')
+        with pytest.raises(SchemaError, match="^line 2 "):
+            list(read_events(path))
+
+    @pytest.mark.parametrize("payload", ["0", "false", "[]", '""', "null"])
+    def test_payload_not_an_object_raises_schema_error(self, tmp_path, payload):
+        # It read as an empty payload.
+        line = '{"session_id":"s1","timestamp":5,"kind":"Pause","payload":' + payload + "}"
+        with pytest.raises(SchemaError, match="^line 1 .*dict payload"):
+            read_lines(tmp_path, line)
 
     @pytest.mark.parametrize(
         "field, value",
         [("timestamp", v) for v in ("Infinity", "-Infinity", "NaN", '"12"', "3.7", "true")]
         + [("session_id", v) for v in ("null", "[1, 2]", "7")],
     )
-    def test_bad_value_raises_schema_error(self, field, value):
+    def test_bad_value_raises_schema_error(self, tmp_path, field, value):
         fields = {"session_id": '"s"', "timestamp": "5", "kind": '"Pause"', field: value}
         with pytest.raises(SchemaError):
-            parse_event_line("{" + ",".join(f'"{k}":{v}' for k, v in fields.items()) + "}")
+            read_lines(tmp_path, "{" + ",".join(f'"{k}":{v}' for k, v in fields.items()) + "}")
 
     @pytest.mark.parametrize(
         "field, value",
@@ -343,7 +373,7 @@ class TestJsonl:
         + [("suggestion_id", v) for v in ("null", "7", '["a"]')]
         + [("prompt_length", v) for v in ("2.5", "-1", '"many"', str(2**53))],
     )
-    def test_bad_request_payload_in_a_line_raises_schema_error(self, field, value):
+    def test_bad_request_payload_in_a_line_raises_schema_error(self, tmp_path, field, value):
         # The events file is the one persisted form, so its reader is what
         # keeps a non-finite feature or a fractional count out of the records.
         payload = {"suggestion_id": '"a"', "task_complexity": "0.5", "prompt_length": "40",
@@ -351,15 +381,15 @@ class TestJsonl:
         line = ('{"session_id":"s","timestamp":5,"kind":"SuggestionRequested","payload":{'
                 + ",".join(f'"{k}":{v}' for k, v in payload.items()) + "}}")
         with pytest.raises(SchemaError, match=field):
-            parse_event_line(line)
+            read_lines(tmp_path, line)
 
-    def test_read_jsonl_skips_blank_lines_and_refuses_non_objects(self, tmp_path):
+    def test_blank_lines_are_skipped_and_events_before_a_bad_line_are_read(self, tmp_path):
         path = tmp_path / "mixed.jsonl"
-        path.write_text('{"a":1}\n\n  \n["a","list"]\n')
-        rows = read_jsonl(path)
-        assert next(rows) == {"a": 1}
-        with pytest.raises(SchemaError):
-            next(rows)
+        path.write_text(_PAUSE_LINE + '\n\n  \n["a","list"]\n')
+        events = read_events(path)
+        assert next(events).kind is TelemetryKind.PAUSE
+        with pytest.raises(SchemaError, match="^line 4 "):
+            next(events)
 
 
 #: Strings that no output of the package contains unless a payload leaks them.
@@ -410,10 +440,11 @@ class TestEventContract:
             markers += [key, value]
         with TemporaryDirectory() as tmp:
             out = Path(tmp)
-            write_jsonl(marked, out / "in.jsonl")
-            events = [TelemetryEvent.from_json_dict(obj) for obj in read_jsonl(out / "in.jsonl")]
+            (out / "in.jsonl").write_text("".join(json.dumps(obj) + "\n" for obj in marked),
+                                          encoding="utf-8")
+            events = list(read_events(out / "in.jsonl"))
             records, _ = records_from_events(events)
-            write_jsonl((event.to_json_dict() for event in events), out / "events.jsonl")
+            write_events(events, out / "events.jsonl")
             save_model(fit_logistic(*split_to_arrays(records), (1.0, 1.0)), out / "model.json")
             written = "".join((out / name).read_text(encoding="utf-8")
                               for name in ("events.jsonl", "model.json")) + repr(records)
@@ -448,12 +479,11 @@ def _step_event(t: int, kind: TelemetryKind, n: int, ms: int, command: str) -> T
 
 
 def _event_sums(event: TelemetryEvent) -> tuple:
-    """What one event adds to its window: chars, pauses, nav, commands, lines."""
+    """What one event adds to its window: chars, pauses, commands, lines."""
     kind = event.kind
     return (
         event.payload.get("chars_typed", 0),
         int(kind is TelemetryKind.PAUSE),
-        int(kind is TelemetryKind.FILE_NAV),
         int(kind is TelemetryKind.COMMAND_USE),
         event.payload.get("lines_added", 0),
     )
@@ -461,7 +491,7 @@ def _event_sums(event: TelemetryEvent) -> tuple:
 
 def _window_sums(w) -> tuple:
     commands = w.undo_count + w.quick_fix_count + w.terminal_toggles + w.palette_actions
-    return (w.chars_typed, w.pause_count, w.nav_events, commands, w.lines_added)
+    return (w.chars_typed, w.pause_count, commands, w.lines_added)
 
 
 class TestIngestProperties:
@@ -473,14 +503,15 @@ class TestIngestProperties:
         state = SessionState("s1")
         windows: list = []
         times = []
-        totals = dict.fromkeys(("chars", "pauses", "nav", "commands", "lines"), 0)
+        totals = dict.fromkeys(("chars", "pauses", "commands", "lines"), 0)
         gauges = {}
-        file_lines = open_files = breakpoints = 0
+        file_lines = open_files = breakpoints = shown = 0
         t = start
         for gap, kind, n, ms, command in steps:
             t += gap
             if kind == "outcome":
                 record_outcome(state, accepted=n % 2 == 0)
+                shown += 1
             else:
                 event = _step_event(t, kind, n, ms, command)
                 ingest_event(state, event)
@@ -488,21 +519,20 @@ class TestIngestProperties:
                 times.append(t)
                 totals["chars"] += event.payload.get("chars_typed", 0)
                 totals["pauses"] += kind is TelemetryKind.PAUSE
-                totals["nav"] += kind is TelemetryKind.FILE_NAV
+                shown += kind is TelemetryKind.SUGGESTION_SHOWN
                 totals["commands"] += kind is TelemetryKind.COMMAND_USE
                 totals["lines"] += event.payload.get("lines_added", 0)
                 file_lines = event.payload.get("file_lines", file_lines)
                 open_files = event.payload.get("open_files", open_files)
                 breakpoints = event.payload.get("breakpoints", breakpoints)
                 gauges[window_start_for(t)] = (file_lines, open_files, breakpoints)
-            assert state.accepted_count + state.rejected_count <= state.suggestions_seen
+            assert state.accepted_count + state.rejected_count <= shown
         if state.open_window is not None:
             windows.append(state.open_window)
 
         assert [w.window_start for w in windows] == sorted({window_start_for(t) for t in times})
         assert sum(w.chars_typed for w in windows) == totals["chars"] == state.total_chars
         assert sum(w.pause_count for w in windows) == totals["pauses"]
-        assert sum(w.nav_events for w in windows) == totals["nav"]
         assert sum(
             w.undo_count + w.quick_fix_count + w.terminal_toggles + w.palette_actions
             for w in windows
@@ -539,7 +569,7 @@ class TestIngestProperties:
                 continue
             collect_window(state, windows)
             bucket = window_start_for(event.timestamp)
-            sums = expected.get(bucket, (0,) * 5)
+            sums = expected.get(bucket, (0,) * 4)
             expected[bucket] = tuple(a + b for a, b in zip(sums, _event_sums(event)))
         if state.open_window is not None:
             windows.append(state.open_window)
