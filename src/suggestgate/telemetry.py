@@ -149,6 +149,8 @@ class TelemetryEvent:
     def from_json_dict(cls, obj: dict) -> "TelemetryEvent":
         """Build an event from a decoded JSON object; unknown fields ignored.
         A missing payload is empty; one that is not an object is refused."""
+        if not isinstance(obj, dict):
+            raise SchemaError("a telemetry event is a JSON object")
         try:
             return cls(obj["session_id"], obj["timestamp"], obj["kind"], obj.get("payload", {}))
         except KeyError as exc:
@@ -349,10 +351,7 @@ def read_events(path) -> Iterator[TelemetryEvent]:
                 text = line.decode("utf-8")
                 if not text.strip():
                     continue
-                obj = json.loads(text)
-                if not isinstance(obj, dict):
-                    raise SchemaError("not a JSON object")
-                event = TelemetryEvent.from_json_dict(obj)
+                event = TelemetryEvent.from_json_dict(json.loads(text))
             except (ValueError, RecursionError, SchemaError) as exc:
                 raise SchemaError(f"line {number} holds no telemetry event: {exc}") from exc
             yield event

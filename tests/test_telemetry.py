@@ -405,6 +405,12 @@ class TestEventContract:
         with pytest.raises(SchemaError):
             TelemetryEvent("s", 0, "NoSuchKind")
 
+    @pytest.mark.parametrize("obj", [["a", "list"], "text", 7, None])
+    def test_from_json_dict_refuses_what_is_not_an_object(self, obj):
+        # It raised a bare TypeError.
+        with pytest.raises(SchemaError, match="JSON object"):
+            TelemetryEvent.from_json_dict(obj)
+
     def test_payload_is_read_only_and_copies_are_equal(self):
         # Writing into a checked payload would skip the check: -7 chars would
         # ingest, and a code key would be written back out.
