@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, replace
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -345,14 +345,49 @@ def _table(values, shape: tuple[int, int]) -> np.ndarray:
     return arr.reshape(shape)
 
 
-def _check(model: AcceptanceModel) -> tuple[np.ndarray, np.ndarray, tuple | dict]:
-    """Mean, std and the kind's parameters, copied as prediction uses them, or
-    ``ModelFormatError``: one finite mean and std in (0, inf) per feature, a
-    known kind, and finite parameters whose shapes fit the features and depth.
+class _Trees(NamedTuple):
+    """An ensemble compiled for prediction into flat tables.
 
-    Logistic parameters: (weights, bias, a (mean, std, weight) term per
-    feature). Trees: the arrays ``_tree_margin`` reads, with feature
-    indices whole and in [0, n_features).
+    Node k of tree t sits at t*n_nodes + k in ``node_feature``,
+    ``node_threshold`` and ``node_left``; leaf i of tree t at
+    t*(n_nodes+1) + i in ``stage``, which holds scale × leaf, the product
+    boosting added. ``node_left`` is the flat index of a node's left child,
+    the right child being the next one, and a child on the last level is an
+    index into ``stage``. ``root`` is each tree's first index, so a walk of
+    ``depth`` steps from it ends on the tree's stage.
+    """
+
+    depth: int
+    base_score: float
+    root: np.ndarray
+    node_feature: np.ndarray
+    node_threshold: np.ndarray
+    node_left: np.ndarray
+    stage: np.ndarray
+
+
+def _compile_trees(base_score: float, depth: int, feature: np.ndarray, threshold: np.ndarray,
+                   leaf: np.ndarray, scale: np.ndarray) -> _Trees:
+    n_trees, n_nodes = feature.shape
+    tree = np.arange(n_trees)[:, None]
+    at = np.arange(n_trees * n_nodes).reshape(n_trees, n_nodes)
+    left = 2 * at + 1 - tree * n_nodes  # t*n_nodes + 2k + 1
+    left = np.where(left < (tree + 1) * n_nodes, left, left + tree - n_nodes)
+    # With depth 0 a tree's root is its one leaf.
+    root = np.arange(n_trees) * (n_nodes or 1)
+    return _Trees(depth, base_score, root, feature.ravel(), threshold.ravel(), left.ravel(),
+                  (scale[:, None] * leaf).ravel())
+
+
+def _check(model: AcceptanceModel) -> tuple[np.ndarray, np.ndarray, dict, tuple | _Trees]:
+    """Mean, std, the kind's parameters as saved and as prediction reads
+    them, all copied, or ``ModelFormatError``: one finite mean and std in
+    (0, inf) per feature, a known kind, and finite parameters whose shapes
+    fit the features and depth.
+
+    Logistic prediction reads (weights, bias, a (mean, std, weight) term
+    per feature); trees read ``_Trees``, whose feature indices are whole
+    and in [0, n_features).
     """
     try:
         n_features = len(model.feature_names)
@@ -371,7 +406,7 @@ def _check(model: AcceptanceModel) -> tuple[np.ndarray, np.ndarray, tuple | dict
             if not (np.isfinite(weights).all() and math.isfinite(bias)):
                 raise ModelFormatError("logistic weights or bias are not finite")
             terms = tuple(zip(mean.tolist(), std.tolist(), weights.tolist()))
-            return mean, std, (weights, bias, terms)
+            return mean, std, {"weights": weights, "bias": bias}, (weights, bias, terms)
         if model.kind != "tree_ensemble":
             raise ModelFormatError(f"unknown model kind {model.kind!r}")
         depth = raw["depth"]
@@ -392,11 +427,13 @@ def _check(model: AcceptanceModel) -> tuple[np.ndarray, np.ndarray, tuple | dict
         raise ModelFormatError(f"tree feature index outside [0, {n_features})")
     if not (math.isfinite(base_score) and all(np.isfinite(a).all() for a in (scale, threshold, leaf))):
         raise ModelFormatError("tree base score, scales, thresholds or leaves are not finite")
-    return mean, std, {"base_score": base_score, "depth": depth, "feature": feature.astype(np.intp),
-                       "threshold": threshold, "leaf": leaf, "scale": scale}
+    feature = feature.astype(np.intp)
+    saved = {"base_score": base_score, "depth": depth, "feature": feature,
+             "threshold": threshold, "leaf": leaf, "scale": scale}
+    return mean, std, saved, _compile_trees(**saved)
 
 
-def _contract(model: AcceptanceModel) -> tuple[np.ndarray, np.ndarray, tuple | dict]:
+def _contract(model: AcceptanceModel) -> tuple[np.ndarray, np.ndarray, dict, tuple | _Trees]:
     """The model's ``_check`` result, or its ``ModelFormatError`` raised."""
     if isinstance(model._checked, ModelFormatError):
         # Without its old traceback: raising it as stored would grow it each time.
@@ -407,7 +444,10 @@ def _contract(model: AcceptanceModel) -> tuple[np.ndarray, np.ndarray, tuple | d
 def _coerce_matrix(model: AcceptanceModel, x) -> np.ndarray:
     if isinstance(x, FeatureVector):
         x = x.values
-    arr = np.asarray(x, dtype=float)
+    try:
+        arr = np.asarray(x, dtype=float)
+    except (TypeError, ValueError):
+        raise FeatureMismatch("vector is not rows of numbers") from None
     if arr.ndim == 1:
         arr = arr[None, :]
     if arr.shape[1] != len(model.feature_names):
@@ -421,36 +461,52 @@ def _coerce_matrix(model: AcceptanceModel, x) -> np.ndarray:
     return arr
 
 
-def _tree_margin(parameters: dict, Xs: np.ndarray) -> np.ndarray:
-    """Ensemble logit: D gathers over all trees, then stages added in order."""
-    feature = parameters["feature"]
-    n_trees, n_nodes = feature.shape
-    n_rows = Xs.shape[0]
-    # Flat positions: node k of tree t is t*n_nodes + k, leaf i is
-    # t*(n_nodes+1) + i, and feature j of row r is r*n_features + j.
-    tree_at = np.arange(n_trees)[:, None] * n_nodes
-    row_at = np.arange(n_rows) * Xs.shape[1]
-    x, features, thresholds = Xs.ravel(), feature.ravel(), parameters["threshold"].ravel()
-    node = np.zeros((n_trees, n_rows), dtype=np.intp)
-    for _ in range(parameters["depth"]):
-        at = tree_at + node
-        node = 2 * node + 2 - (x[row_at + features[at]] <= thresholds[at])
-    leaf = parameters["leaf"].ravel()[tree_at + np.arange(n_trees)[:, None] + node - n_nodes]
-    stages = np.empty((n_trees + 1, n_rows))
-    stages[0] = parameters["base_score"]
-    np.multiply(parameters["scale"][:, None], leaf, out=stages[1:])
+def _add_stages(trees: _Trees, at: np.ndarray) -> np.ndarray:
+    """Base score plus the stages at ``at``, one per tree (and row)."""
+    stages = np.empty((len(at) + 1, *at.shape[1:]))
+    stages[0] = trees.base_score
+    trees.stage.take(at, out=stages[1:])
     # cumsum adds stage by stage, as boosting did; a pairwise sum would not.
-    return np.cumsum(stages, axis=0)[-1]
+    return np.cumsum(stages, axis=0, out=stages)[-1]
+
+
+def _tree_margin(trees: _Trees, Xs: np.ndarray) -> np.ndarray:
+    """Ensemble logit of many rows: each level gathers the nodes on each row's path."""
+    row_at = np.arange(Xs.shape[0]) * Xs.shape[1]  # feature j of row r is r*n_features + j
+    x = Xs.ravel()
+    at = np.broadcast_to(trees.root[:, None], (len(trees.root), Xs.shape[0]))
+    for _ in range(trees.depth):
+        at = trees.node_left[at] + (x[row_at + trees.node_feature[at]] > trees.node_threshold[at])
+    return _add_stages(trees, at)
+
+
+def _tree_row_margin(trees: _Trees, xs: np.ndarray) -> np.ndarray:
+    """Ensemble logit of one row: every node tested at once, then one gather a level.
+
+    Testing every node costs n_trees × n_nodes compares, fewer numpy calls
+    than a walk but memory in proportion to the rows, so only a row does it.
+    """
+    child = trees.node_left + (xs.take(trees.node_feature) > trees.node_threshold)
+    at = trees.root
+    for _ in range(trees.depth):
+        at = child.take(at)
+    return _add_stages(trees, at)
+
+
+def _row_probability(z: float) -> float:
+    # np.tanh, not math.tanh, inside _sigmoid: the two differ in the last bit.
+    p = float(_sigmoid(z))
+    return min(max(p, _PROB_CLIP), 1.0 - _PROB_CLIP)
 
 
 def predict_proba_batch(model: AcceptanceModel, X) -> np.ndarray:
-    mean, std, parameters = _contract(model)
+    mean, std, _, compiled = _contract(model)
     Xs = (_coerce_matrix(model, X) - mean) / std
     if model.kind == "logistic":
-        weights, bias, _ = parameters
+        weights, bias, _ = compiled
         z = Xs @ weights + bias
     else:
-        z = _tree_margin(parameters, Xs)
+        z = _tree_margin(compiled, Xs)
     return _clip_probs(_sigmoid(z))
 
 
@@ -458,41 +514,48 @@ def predict_proba(model: AcceptanceModel, x) -> float:
     """Predicted acceptance probability for one feature vector.
 
     A model that broke the contract at construction raises
-    ``ModelFormatError``, whatever the vector. A logistic model scores a
-    ``FeatureVector``, a sequence or a 1-D array in plain Python: numpy's
-    per-call overhead on one row costs more than its arithmetic. It makes
-    the same checks as ``predict_proba_batch`` and agrees with it to within
-    the rounding of a differently ordered sum. Tree ensembles and 2-D
-    arrays go through ``predict_proba_batch``, and more than one row raises
-    ``FeatureMismatch``.
+    ``ModelFormatError``, whatever the vector. The vector is refused as
+    ``predict_proba_batch`` refuses it, and more than one row raises
+    ``FeatureMismatch``. On one row numpy's per-call overhead costs more
+    than its arithmetic, so a row is not scored as a batch is. A tree
+    ensemble tests every node of every tree in one compare, then descends
+    with one gather per level, and scores bit-equal to the batch. A
+    logistic model scores a ``FeatureVector``, a sequence or a 1-D array
+    in plain Python and agrees with the batch to within the rounding of a
+    differently ordered sum; a 2-D array goes through
+    ``predict_proba_batch``.
     """
-    _, _, parameters = _contract(model)
+    mean, std, _, compiled = _contract(model)
     if isinstance(x, FeatureVector):
         x = x.values
-    elif isinstance(x, np.ndarray) and x.ndim == 1:
+    if model.kind != "logistic":
+        X = _coerce_matrix(model, x)
+        if len(X) != 1:
+            raise FeatureMismatch(f"expected one vector, got {len(X)} rows")
+        return _row_probability(float(_tree_row_margin(compiled, (X[0] - mean) / std)))
+    if isinstance(x, np.ndarray):
+        if x.ndim != 1:
+            probs = predict_proba_batch(model, x)
+            if len(probs) != 1:
+                raise FeatureMismatch(f"expected one vector, got {len(probs)} rows")
+            return float(probs[0])
         x = x.tolist()
-    if model.kind != "logistic" or isinstance(x, np.ndarray):
-        probs = predict_proba_batch(model, x)
-        if len(probs) != 1:
-            raise FeatureMismatch(f"expected one vector, got {len(probs)} rows")
-        return float(probs[0])
-    _, bias, terms = parameters
+    _, bias, terms = compiled
     if len(x) != len(terms):
         raise FeatureMismatch(f"vector has {len(x)} features, model expects {len(terms)}")
     z = 0.0
     try:
-        for value, (mean, std, weight) in zip(x, terms):
-            z += (value - mean) / std * weight
-    except TypeError:
+        for value, (mu, sigma, weight) in zip(x, terms):
+            z += (value - mu) / sigma * weight
+        # A non-finite feature makes its term, and so z, non-finite: the
+        # features need checking only then. Finite features whose terms
+        # overflow are scored, as the batch path scores them.
+        finite = math.isfinite(z) or all(map(math.isfinite, x))
+    except TypeError:  # a feature that is not a real number, complex ones too
         raise FeatureMismatch("vector is not one row of numbers") from None
-    # A non-finite feature makes its term, and so z, non-finite: the features
-    # need checking only then. Finite features whose terms overflow are
-    # scored, as the batch path scores them.
-    if not math.isfinite(z) and not all(map(math.isfinite, x)):
+    if not finite:
         raise FeatureMismatch("vector has non-finite features")
-    # np.tanh, not math.tanh, inside _sigmoid: the two differ in the last bit.
-    p = float(_sigmoid(z + bias))
-    return min(max(p, _PROB_CLIP), 1.0 - _PROB_CLIP)
+    return _row_probability(z + bias)
 
 
 # --- serialization -----------------------------------------------------
@@ -501,9 +564,7 @@ def predict_proba(model: AcceptanceModel, x) -> float:
 def save_model(model: AcceptanceModel, path) -> None:
     """Write the model's checked copies as JSON, so the file scores as the model
     does; a model that broke the contract raises ``ModelFormatError``."""
-    mean, std, parameters = _contract(model)
-    if model.kind == "logistic":
-        parameters = {"weights": parameters[0], "bias": parameters[1]}
+    mean, std, parameters, _ = _contract(model)
     payload = {
         "format_version": MODEL_FORMAT_VERSION,
         "kind": model.kind,

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import functools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -23,7 +24,6 @@ from suggestgate.model import (
     _grow_tree,
     _logistic_loss_grad,
     _sigmoid,
-    _tree_margin,
     fit_logistic,
     fit_tree_ensemble,
     load_model,
@@ -408,12 +408,12 @@ class TestTreeEnsemble:
         model = fit_tree_ensemble(X, y, weights, hyper, ["x0", "x1"])
         # Recompute the staged losses from the stored trees, one stage more
         # each time.
-        Xs = (X - np.asarray(model.mean)) / np.asarray(model.std)
         params = model.parameters
         losses = []
         for k in range(len(params["scale"]) + 1):
             first_k = dict(params, **{key: params[key][:k] for key in ("feature", "threshold", "leaf", "scale")})
-            losses.append(weighted_bce_mean(_sigmoid(_tree_margin(first_k, Xs)), y, weights))
+            probs = predict_proba_batch(replace(model, parameters=first_k), X)
+            losses.append(weighted_bce_mean(probs, y, weights))
         assert all(b <= a + 1e-12 for a, b in zip(losses, losses[1:]))
 
     def test_hand_built_stump(self):
@@ -609,28 +609,6 @@ class TestLogisticRow:
         assert _PROB_CLIP <= row <= 1.0 - _PROB_CLIP
         assert abs(row - batch) <= bound
 
-    @pytest.mark.parametrize("form", _FORMS)
-    @pytest.mark.parametrize("n", [N_FEATURES - 1, N_FEATURES + 1])
-    def test_row_refuses_wrong_arity_like_batch(self, form, n):
-        model = _logistic_model([0.0] * n, [1.0] * n, [1.0] * n, 0.0)
-        x = _FORMS[form]([0.5] * N_FEATURES)
-        for predict in (predict_proba, predict_proba_batch):
-            with pytest.raises(FeatureMismatch):
-                predict(model, x)
-
-    @pytest.mark.parametrize("form", _FORMS)
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-    @pytest.mark.parametrize("weight", [1.0, 0.0])
-    def test_row_refuses_non_finite_like_batch(self, form, bad, weight):
-        n = N_FEATURES
-        model = _logistic_model([0.0] * n, [1.0] * n, [weight] * n, 0.0)
-        values = [0.5] * n
-        values[7] = bad
-        x = _FORMS[form](values)
-        for predict in (predict_proba, predict_proba_batch):
-            with pytest.raises(FeatureMismatch):
-                predict(model, x)
-
     def test_exact_z_gives_bit_equal_probability(self):
         # mean 0, std 1, weight 1, bias 0: both paths compute z = x exactly,
         # so any difference comes from the sigmoid or the clip.
@@ -639,6 +617,121 @@ class TestLogisticRow:
         batch = predict_proba_batch(model, grid[:, None])
         rows = np.array([predict_proba(model, [z]) for z in grid.tolist()])
         np.testing.assert_array_equal(rows, batch)
+
+
+# --- one tree-ensemble row ------------------------------------------------
+# predict_proba tests every node of a tree row at once; predict_proba_batch
+# walks each row's path. Both add the same stages in the same order, so
+# their scores must be bit-equal.
+
+
+def _random_trees(n_features: int, depth: int, n_trees: int, seed: int = 0) -> AcceptanceModel:
+    """Trees with random splits, leaves and scales, and unit standardization."""
+    rng = np.random.default_rng(seed)
+    n_nodes = 2**depth - 1
+    return AcceptanceModel(
+        feature_names=tuple(f"f{i}" for i in range(n_features)),
+        mean=(0.0,) * n_features,
+        std=(1.0,) * n_features,
+        kind="tree_ensemble",
+        parameters={
+            "base_score": float(rng.normal()),
+            "depth": depth,
+            "feature": rng.integers(0, n_features, size=(n_trees, n_nodes)),
+            "threshold": rng.normal(size=(n_trees, n_nodes)),
+            "leaf": rng.normal(size=(n_trees, n_nodes + 1)),
+            "scale": rng.uniform(0.01, 0.2, size=n_trees),
+        },
+    )
+
+
+def _tree_probes(model: AcceptanceModel, n_rows: int, seed: int = 1) -> np.ndarray:
+    """Normal rows, half of them with some features set to a split's threshold."""
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(n_rows, len(model.feature_names)))
+    feature = np.asarray(model.parameters["feature"]).ravel()
+    threshold = np.asarray(model.parameters["threshold"]).ravel()
+    if feature.size:
+        for row in X[: n_rows // 2]:
+            at = rng.integers(0, feature.size, size=5)
+            row[feature[at]] = threshold[at]  # a row equal to a threshold goes left
+    return X
+
+
+def _row_model(kind: str, n: int, weight: float = 1.0) -> AcceptanceModel:
+    """Logistic with every weight ``weight``; or trees that read every feature,
+    or, when ``weight`` is 0, only feature 0, as a zero weight ignores one."""
+    if kind == "logistic":
+        return _logistic_model([0.0] * n, [1.0] * n, [weight] * n, 0.0)
+    model = _random_trees(n, 3, 40)
+    if weight == 0.0:
+        model = replace(model, parameters=dict(model.parameters, feature=np.zeros((40, 7), dtype=int)))
+    return model
+
+
+class TestTreeRow:
+    @pytest.mark.parametrize("form", _FORMS)
+    @pytest.mark.parametrize("depth", range(7))
+    def test_row_is_bit_equal_to_batch(self, form, depth):
+        model = _random_trees(N_FEATURES, depth, 30, seed=depth)
+        X = _tree_probes(model, 60)
+        batch = predict_proba_batch(model, X)
+        rows = [predict_proba(model, _FORMS[form](x)) for x in X.tolist()]
+        np.testing.assert_array_equal(rows, batch)
+        assert depth == 0 or len(set(rows)) > 1  # the probes reach different leaves
+
+    @pytest.mark.parametrize("form", _FORMS)
+    @pytest.mark.parametrize("depth", [0, 4])
+    def test_zero_stages_score_the_base(self, form, depth):
+        model = _random_trees(N_FEATURES, depth, 0)
+        X = _tree_probes(model, 5)
+        expected = _clip_probs(_sigmoid(np.full(5, model.parameters["base_score"])))
+        np.testing.assert_array_equal(predict_proba_batch(model, X), expected)
+        np.testing.assert_array_equal([predict_proba(model, _FORMS[form](x)) for x in X.tolist()],
+                                      expected)
+
+    def test_fitted_model_row_is_bit_equal_to_batch(self):
+        X, y = telemetry_like_data(300, seed=4)
+        model = fit_tree_ensemble(X, y, (1.0, 3.0), TreeHyper(n_trees=40, depth=4),
+                                  [f"x{j}" for j in range(X.shape[1])])
+        X_probe = np.vstack([X, X[::-1] + 0.05])
+        np.testing.assert_array_equal([predict_proba(model, x) for x in X_probe],
+                                      predict_proba_batch(model, X_probe))
+
+
+@pytest.mark.parametrize("kind", ["logistic", "tree_ensemble"])
+class TestRowRefusals:
+    @pytest.mark.parametrize("form", _FORMS)
+    @pytest.mark.parametrize("n", [N_FEATURES - 1, N_FEATURES + 1])
+    def test_row_refuses_wrong_arity_like_batch(self, kind, form, n):
+        model = _row_model(kind, n)
+        x = _FORMS[form]([0.5] * N_FEATURES)
+        for predict in (predict_proba, predict_proba_batch):
+            with pytest.raises(FeatureMismatch):
+                predict(model, x)
+
+    @pytest.mark.parametrize("form", _FORMS)
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("weight", [1.0, 0.0])
+    def test_row_refuses_non_finite_like_batch(self, kind, form, bad, weight):
+        n = N_FEATURES
+        model = _row_model(kind, n, weight)
+        values = [0.5] * n
+        values[7] = bad
+        x = _FORMS[form](values)
+        for predict in (predict_proba, predict_proba_batch):
+            with pytest.raises(FeatureMismatch):
+                predict(model, x)
+
+    @pytest.mark.parametrize("form", ["tuple", "list"])
+    @pytest.mark.parametrize("bad", ["a", object(), 1 + 2j], ids=["str", "object", "complex"])
+    def test_row_refuses_non_numeric_like_batch(self, kind, form, bad):
+        values = [0.5] * N_FEATURES
+        values[7] = bad
+        x = _FORMS[form](values)
+        for predict in (predict_proba, predict_proba_batch):
+            with pytest.raises(FeatureMismatch):
+                predict(_row_model(kind, N_FEATURES), x)
 
 
 def depth_disagrees(p, _):
@@ -851,6 +944,14 @@ class TestSerialization:
         X_probe, _ = xor_data(20, seed=6)
         np.testing.assert_array_equal(predict_proba_batch(load_model(tmp_path / "m.json"), X_probe),
                                       predict_proba_batch(model, X_probe))
+
+    def test_tree_file_holds_the_six_format_parameters(self, tmp_path):
+        import json
+
+        save_model(_small_model("tree_ensemble"), tmp_path / "m.json")
+        payload = json.loads((tmp_path / "m.json").read_text())
+        assert payload["format_version"] == MODEL_FORMAT_VERSION == "suggestgate-model/2"
+        assert set(payload["parameters"]) == {"base_score", "depth", "feature", "threshold", "leaf", "scale"}
 
     def test_not_json_refusal(self, tmp_path):
         path = tmp_path / "m.json"

@@ -28,14 +28,18 @@ def test_declared_scripts_import():
 
 
 def test_readme_names_resolve():
-    # Every `module.name` that README gives for a suggestgate module exists.
+    # Every `module.name`, `module.name(...)` and `module.name.attr` that
+    # README gives for a suggestgate module exists, down to the last attribute.
     modules = {info.name for info in pkgutil.iter_modules(suggestgate.__path__)}
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     named = [
-        (module, name)
-        for module, name in re.findall(r"`(\w+)\.(\w+)`", readme)
+        (module, path)
+        for module, path in re.findall(r"`(\w+)((?:\.\w+)+)[`(]", readme)
         if module in modules
     ]
     assert len(named) >= 5
-    for module, name in named:
-        assert hasattr(importlib.import_module(f"suggestgate.{module}"), name), f"{module}.{name}"
+    for module, path in named:
+        owner = importlib.import_module(f"suggestgate.{module}")
+        for name in path[1:].split("."):
+            assert hasattr(owner, name), f"{module}{path}"
+            owner = getattr(owner, name)
