@@ -690,14 +690,6 @@ class TestTreeRow:
         np.testing.assert_array_equal([predict_proba(model, _FORMS[form](x)) for x in X.tolist()],
                                       expected)
 
-    def test_fitted_model_row_is_bit_equal_to_batch(self):
-        X, y = telemetry_like_data(300, seed=4)
-        model = fit_tree_ensemble(X, y, (1.0, 3.0), TreeHyper(n_trees=40, depth=4),
-                                  [f"x{j}" for j in range(X.shape[1])])
-        X_probe = np.vstack([X, X[::-1] + 0.05])
-        np.testing.assert_array_equal([predict_proba(model, x) for x in X_probe],
-                                      predict_proba_batch(model, X_probe))
-
 
 @pytest.mark.parametrize("kind", ["logistic", "tree_ensemble"])
 class TestRowRefusals:
@@ -726,12 +718,13 @@ class TestRowRefusals:
     @pytest.mark.parametrize("form", ["tuple", "list"])
     @pytest.mark.parametrize("bad", ["a", object(), 1 + 2j], ids=["str", "object", "complex"])
     def test_row_refuses_non_numeric_like_batch(self, kind, form, bad):
+        model = _row_model(kind, N_FEATURES)
         values = [0.5] * N_FEATURES
         values[7] = bad
         x = _FORMS[form](values)
         for predict in (predict_proba, predict_proba_batch):
             with pytest.raises(FeatureMismatch):
-                predict(_row_model(kind, N_FEATURES), x)
+                predict(model, x)
 
 
 def depth_disagrees(p, _):
