@@ -445,9 +445,14 @@ def _coerce_matrix(model: AcceptanceModel, x) -> np.ndarray:
     if isinstance(x, FeatureVector):
         x = x.values
     try:
-        arr = np.asarray(x, dtype=float)
+        arr = np.asarray(x)
     except (TypeError, ValueError):
         raise FeatureMismatch("vector is not rows of numbers") from None
+    # Bool, integer and real values only: converting to float would parse
+    # numeric strings and drop the imaginary part of complex ones.
+    if arr.dtype.kind not in "biuf":
+        raise FeatureMismatch("vector is not rows of numbers")
+    arr = arr.astype(float, copy=False)
     if arr.ndim == 1:
         arr = arr[None, :]
     if arr.shape[1] != len(model.feature_names):
@@ -483,8 +488,10 @@ def _tree_margin(trees: _Trees, Xs: np.ndarray) -> np.ndarray:
 def _tree_row_margin(trees: _Trees, xs: np.ndarray) -> np.ndarray:
     """Ensemble logit of one row: every node tested at once, then one gather a level.
 
-    Testing every node costs n_trees × n_nodes compares, fewer numpy calls
-    than a walk but memory in proportion to the rows, so only a row does it.
+    At 200 trees of depth 4 on a shared 2-core machine, one row takes
+    14-18 µs here and 33-38 µs in ``_tree_margin``. Testing every node of
+    360 or 1130 rows took 4-6 times the walk's time and 7 times its peak
+    memory (54 MB against 7.5 MB at 1130 rows), so only a row does it.
     """
     child = trees.node_left + (xs.take(trees.node_feature) > trees.node_threshold)
     at = trees.root
@@ -522,8 +529,8 @@ def predict_proba(model: AcceptanceModel, x) -> float:
     with one gather per level, and scores bit-equal to the batch. A
     logistic model scores a ``FeatureVector``, a sequence or a 1-D array
     in plain Python and agrees with the batch to within the rounding of a
-    differently ordered sum; a 2-D array goes through
-    ``predict_proba_batch``.
+    differently ordered sum; any other array, 2-D or not of bool, integer or
+    real values, goes through ``predict_proba_batch``.
     """
     mean, std, _, compiled = _contract(model)
     if isinstance(x, FeatureVector):
@@ -534,7 +541,7 @@ def predict_proba(model: AcceptanceModel, x) -> float:
             raise FeatureMismatch(f"expected one vector, got {len(X)} rows")
         return _row_probability(float(_tree_row_margin(compiled, (X[0] - mean) / std)))
     if isinstance(x, np.ndarray):
-        if x.ndim != 1:
+        if x.ndim != 1 or x.dtype.kind not in "biuf":
             probs = predict_proba_batch(model, x)
             if len(probs) != 1:
                 raise FeatureMismatch(f"expected one vector, got {len(probs)} rows")

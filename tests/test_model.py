@@ -715,8 +715,9 @@ class TestRowRefusals:
             with pytest.raises(FeatureMismatch):
                 predict(model, x)
 
-    @pytest.mark.parametrize("form", ["tuple", "list"])
-    @pytest.mark.parametrize("bad", ["a", object(), 1 + 2j], ids=["str", "object", "complex"])
+    @pytest.mark.parametrize("form", _FORMS)
+    @pytest.mark.parametrize("bad", ["a", "1.5", object(), None, 1 + 2j],
+                             ids=["str", "numeric str", "object", "None", "complex"])
     def test_row_refuses_non_numeric_like_batch(self, kind, form, bad):
         model = _row_model(kind, N_FEATURES)
         values = [0.5] * N_FEATURES
