@@ -69,10 +69,10 @@ class AcceptanceModel:
     """Trained classifier artifact: feature contract, scaling, parameters, tau.
 
     Construction never raises: it checks the model once against the one
-    contract (``_check``), fitted, loaded or built by hand. Prediction on a
-    model that breaks it raises ``ModelFormatError``, so the gate fails
-    open, and ``save_model`` refuses it. Later changes to ``parameters`` do
-    not change the scores.
+    contract (``_check``), fitted, loaded or built by hand, τ and every
+    number included. Prediction on a model that breaks it raises
+    ``ModelFormatError``, so the gate fails open, and ``save_model`` refuses
+    it. Later changes to ``parameters`` do not change the scores.
     """
 
     feature_names: tuple[str, ...]
@@ -337,8 +337,18 @@ def fit_tree_ensemble(
 # --- prediction --------------------------------------------------------
 
 
+def _reals(values) -> np.ndarray:
+    """A float copy of ``values``, or ``ValueError`` unless they are bool,
+    integer or real numbers: ``np.array(values, dtype=float)`` and ``float``
+    would parse numeric strings, and the former drop an imaginary part."""
+    arr = np.array(values)
+    if arr.dtype.kind not in "biuf":
+        raise ValueError(f"values are not real numbers (dtype {arr.dtype})")
+    return arr.astype(float, copy=False)
+
+
 def _table(values, shape: tuple[int, int]) -> np.ndarray:
-    arr = np.array(values, dtype=float)
+    arr = _reals(values)
     # An ensemble with no stages saves each table as [], which reads as shape (0,).
     if arr.shape != shape and not (arr.size == 0 and 0 in shape):
         raise ModelFormatError(f"tree table has shape {arr.shape}, expected {shape}")
@@ -382,8 +392,9 @@ def _compile_trees(base_score: float, depth: int, feature: np.ndarray, threshold
 def _check(model: AcceptanceModel) -> tuple[np.ndarray, np.ndarray, dict, tuple | _Trees]:
     """Mean, std, the kind's parameters as saved and as prediction reads
     them, all copied, or ``ModelFormatError``: one finite mean and std in
-    (0, inf) per feature, a known kind, and finite parameters whose shapes
-    fit the features and depth.
+    (0, inf) per feature, τ in (0, 1), a known kind, and finite parameters
+    whose shapes fit the features and depth. Every number is a bool, an
+    integer or a real (``_reals``); a numeric string is refused.
 
     Logistic prediction reads (weights, bias, a (mean, std, weight) term
     per feature); trees read ``_Trees``, whose feature indices are whole
@@ -391,16 +402,18 @@ def _check(model: AcceptanceModel) -> tuple[np.ndarray, np.ndarray, dict, tuple 
     """
     try:
         n_features = len(model.feature_names)
-        mean = np.array(model.mean, dtype=float)
-        std = np.array(model.std, dtype=float)
+        mean = _reals(model.mean)
+        std = _reals(model.std)
         if not mean.shape == std.shape == (n_features,):
             raise ModelFormatError("standardization length does not match feature names")
         if not (np.isfinite(mean).all() and ((0.0 < std) & (std < math.inf)).all()):
             raise ModelFormatError("standardization has a non-finite mean or a std not in (0, inf)")
+        if not 0.0 < float(_reals(model.tau)) < 1.0:
+            raise ModelFormatError(f"tau must be in (0, 1), got {model.tau!r}")
         raw = model.parameters
         if model.kind == "logistic":
-            weights = np.array(raw["weights"], dtype=float)
-            bias = float(raw["bias"])
+            weights = _reals(raw["weights"])
+            bias = float(_reals(raw["bias"]))
             if weights.shape != (n_features,):
                 raise ModelFormatError("weight vector length does not match feature names")
             if not (np.isfinite(weights).all() and math.isfinite(bias)):
@@ -413,8 +426,8 @@ def _check(model: AcceptanceModel) -> tuple[np.ndarray, np.ndarray, dict, tuple 
         # 63 bounds the heap's node count to numpy's index range.
         if type(depth) is not int or not 0 <= depth < 63:
             raise ModelFormatError(f"tree depth must be an integer in [0, 63), got {depth!r}")
-        base_score = float(raw["base_score"])
-        scale = np.array(raw["scale"], dtype=float)
+        base_score = float(_reals(raw["base_score"]))
+        scale = _reals(raw["scale"])
         if scale.ndim != 1:
             raise ModelFormatError(f"tree scales have shape {scale.shape}, expected one per tree")
         n_trees, n_nodes = len(scale), 2**depth - 1
@@ -442,23 +455,18 @@ def _contract(model: AcceptanceModel) -> tuple[np.ndarray, np.ndarray, dict, tup
 
 
 def _coerce_matrix(model: AcceptanceModel, x) -> np.ndarray:
+    """The one rule for feature rows, on every path: one row or many of finite
+    reals as wide as the model's features, as a float copy, or ``FeatureMismatch``."""
     if isinstance(x, FeatureVector):
         x = x.values
     try:
-        arr = np.asarray(x)
+        arr = _reals(x)
     except (TypeError, ValueError):
         raise FeatureMismatch("vector is not rows of numbers") from None
-    # Bool, integer and real values only: converting to float would parse
-    # numeric strings and drop the imaginary part of complex ones.
-    if arr.dtype.kind not in "biuf":
-        raise FeatureMismatch("vector is not rows of numbers")
-    arr = arr.astype(float, copy=False)
     if arr.ndim == 1:
         arr = arr[None, :]
-    if arr.shape[1] != len(model.feature_names):
-        raise FeatureMismatch(
-            f"vector has {arr.shape[1]} features, model expects {len(model.feature_names)}"
-        )
+    if arr.ndim != 2 or arr.shape[1] != len(model.feature_names):
+        raise FeatureMismatch(f"vector has shape {arr.shape}, not (rows, {len(model.feature_names)})")
     # A tree sends NaN down the right branch and scores it like any value,
     # so non-finite input is refused here for every model kind.
     if not np.isfinite(arr).all():
@@ -521,48 +529,36 @@ def predict_proba(model: AcceptanceModel, x) -> float:
     """Predicted acceptance probability for one feature vector.
 
     A model that broke the contract at construction raises
-    ``ModelFormatError``, whatever the vector. The vector is refused as
-    ``predict_proba_batch`` refuses it, and more than one row raises
-    ``FeatureMismatch``. On one row numpy's per-call overhead costs more
-    than its arithmetic, so a row is not scored as a batch is. A tree
-    ensemble tests every node of every tree in one compare, then descends
-    with one gather per level, and scores bit-equal to the batch. A
-    logistic model scores a ``FeatureVector``, a sequence or a 1-D array
-    in plain Python and agrees with the batch to within the rounding of a
-    differently ordered sum; any other array, 2-D or not of bool, integer or
-    real values, goes through ``predict_proba_batch``.
+    ``ModelFormatError``, whatever the vector. A vector is one row of what
+    ``predict_proba_batch`` takes and is refused only as the batch refuses
+    it, by ``_coerce_matrix``; more than one row raises ``FeatureMismatch``.
+    A logistic model sums a tuple, a list or a ``FeatureVector`` in plain
+    Python, cheaper than numpy on one row, to within the rounding of a
+    differently ordered sum of the batch. Any other input, or a sum that is
+    not a finite float, takes the tree row's path: ``_coerce_matrix``, then
+    the kind's margin, bit-equal to the batch. A tree row tests every node
+    in one compare, then descends with one gather per level.
     """
     mean, std, _, compiled = _contract(model)
-    if isinstance(x, FeatureVector):
-        x = x.values
-    if model.kind != "logistic":
-        X = _coerce_matrix(model, x)
-        if len(X) != 1:
-            raise FeatureMismatch(f"expected one vector, got {len(X)} rows")
-        return _row_probability(float(_tree_row_margin(compiled, (X[0] - mean) / std)))
-    if isinstance(x, np.ndarray):
-        if x.ndim != 1 or x.dtype.kind not in "biuf":
-            probs = predict_proba_batch(model, x)
-            if len(probs) != 1:
-                raise FeatureMismatch(f"expected one vector, got {len(probs)} rows")
-            return float(probs[0])
-        x = x.tolist()
-    _, bias, terms = compiled
-    if len(x) != len(terms):
-        raise FeatureMismatch(f"vector has {len(x)} features, model expects {len(terms)}")
-    z = 0.0
-    try:
-        for value, (mu, sigma, weight) in zip(x, terms):
-            z += (value - mu) / sigma * weight
-        # A non-finite feature makes its term, and so z, non-finite: the
-        # features need checking only then. Finite features whose terms
-        # overflow are scored, as the batch path scores them.
-        finite = math.isfinite(z) or all(map(math.isfinite, x))
-    except TypeError:  # a feature that is not a real number, complex ones too
-        raise FeatureMismatch("vector is not one row of numbers") from None
-    if not finite:
-        raise FeatureMismatch("vector has non-finite features")
-    return _row_probability(z + bias)
+    if model.kind == "logistic":
+        weights, bias, terms = compiled
+        values = x.values if isinstance(x, FeatureVector) else x
+        if isinstance(values, (tuple, list)) and len(values) == len(terms):
+            z = 0.0
+            try:
+                for value, (mu, sigma, weight) in zip(values, terms):
+                    z += (value - mu) / sigma * weight
+            except (TypeError, OverflowError):
+                z = math.nan
+            # Numpy scalars and non-finite features are the batch's to score or refuse.
+            if type(z) is float and math.isfinite(z):
+                return _row_probability(z + bias)
+    X = _coerce_matrix(model, x)
+    if len(X) != 1:
+        raise FeatureMismatch(f"expected one vector, got {len(X)} rows")
+    if model.kind == "logistic":
+        return _row_probability(float((((X - mean) / std) @ weights + bias)[0]))
+    return _row_probability(float(_tree_row_margin(compiled, (X[0] - mean) / std)))
 
 
 # --- serialization -----------------------------------------------------
@@ -581,7 +577,7 @@ def save_model(model: AcceptanceModel, path) -> None:
             key: value.tolist() if isinstance(value, np.ndarray) else value
             for key, value in parameters.items()
         },
-        "tau": model.tau,
+        "tau": float(model.tau),
     }
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2)
@@ -589,8 +585,8 @@ def save_model(model: AcceptanceModel, path) -> None:
 
 
 def load_model(path) -> AcceptanceModel:
-    """Read a model file; another version, a τ outside (0, 1) or a broken contract
-    raise ``ModelFormatError``."""
+    """Read a model file; another version or a broken contract, τ and every
+    number checked by ``_check``, raise ``ModelFormatError``."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             payload = json.load(fh)
@@ -606,13 +602,11 @@ def load_model(path) -> AcceptanceModel:
             std=tuple(payload["standardization"]["std"]),
             kind=payload["kind"],
             parameters=payload["parameters"],
-            tau=float(payload["tau"]),
+            tau=payload["tau"],
         )
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+    except (KeyError, TypeError) as exc:
         raise ModelFormatError(f"model file missing or malformed fields: {exc}") from exc
     _contract(model)
-    if not 0.0 < model.tau < 1.0:
-        raise ModelFormatError(f"tau must be in (0, 1), got {model.tau}")
     return model
 
 

@@ -569,7 +569,11 @@ _FORMS = {
     "list": list,
     "1-D array": np.array,
     "(1, n) array": lambda v: np.array([v]),
+    "nested list": lambda v: [list(v)],
 }
+
+#: The forms a logistic row hands to the batch's arithmetic.
+_HANDED_ON = ("1-D array", "(1, n) array", "nested list")
 
 
 def _logistic_model(mean, std, weights, bias) -> AcceptanceModel:
@@ -617,6 +621,24 @@ class TestLogisticRow:
         batch = predict_proba_batch(model, grid[:, None])
         rows = np.array([predict_proba(model, [z]) for z in grid.tolist()])
         np.testing.assert_array_equal(rows, batch)
+
+    def test_numpy_float32_values_are_summed_in_float64(self):
+        rng = np.random.default_rng(5)
+        mean, std, weights = rng.normal(size=N_FEATURES), rng.uniform(0.5, 2.0, N_FEATURES), rng.normal(size=N_FEATURES)
+        model = _logistic_model(mean.tolist(), std.tolist(), weights.tolist(), 0.3)
+        x = [np.float32(v) for v in rng.normal(size=N_FEATURES)]
+        terms = (np.array(x, dtype=float) - mean) / std * weights
+        bound = 0.25 * 2 * (N_FEATURES + 1) * _EPS * (0.3 + np.abs(terms).sum()) + 2 * _EPS
+        batch = predict_proba_batch(model, np.array([x]))[0]
+        assert abs(predict_proba(model, x) - batch) <= bound
+
+    @pytest.mark.parametrize("form", _HANDED_ON)
+    @settings(max_examples=50, deadline=None)
+    @given(data=st.data())
+    def test_forms_handed_on_score_bit_equal_to_batch(self, form, data):
+        model, x = data.draw(_logistic_cases(data.draw(st.integers(1, 25))))
+        x = _FORMS[form](x)
+        assert predict_proba(model, x) == predict_proba_batch(model, x)[0]
 
 
 # --- one tree-ensemble row ------------------------------------------------
@@ -716,13 +738,21 @@ class TestRowRefusals:
                 predict(model, x)
 
     @pytest.mark.parametrize("form", _FORMS)
-    @pytest.mark.parametrize("bad", ["a", "1.5", object(), None, 1 + 2j],
-                             ids=["str", "numeric str", "object", "None", "complex"])
+    @pytest.mark.parametrize("bad", ["a", "1.5", object(), None, 1 + 2j, 10**400],
+                             ids=["str", "numeric str", "object", "None", "complex", "10**400"])
     def test_row_refuses_non_numeric_like_batch(self, kind, form, bad):
         model = _row_model(kind, N_FEATURES)
         values = [0.5] * N_FEATURES
         values[7] = bad
         x = _FORMS[form](values)
+        for predict in (predict_proba, predict_proba_batch):
+            with pytest.raises(FeatureMismatch):
+                predict(model, x)
+
+    @pytest.mark.parametrize("x", [0.5, np.float64(0.5), np.full((1, 1, N_FEATURES), 0.5)],
+                             ids=["float", "numpy scalar", "(1, 1, n) array"])
+    def test_row_refuses_what_is_not_rows_like_batch(self, kind, x):
+        model = _row_model(kind, N_FEATURES)
         for predict in (predict_proba, predict_proba_batch):
             with pytest.raises(FeatureMismatch):
                 predict(model, x)
@@ -800,6 +830,41 @@ def bias_overflows(p, _):
     p["bias"] = 10**400  # a JSON integer too large for a float
 
 
+def mean_numeric_str(_, payload):
+    payload["standardization"]["mean"][0] = "0.5"
+
+
+def weights_numeric_str(p, _):
+    p["weights"][0] = "0.5"
+
+
+def bias_numeric_str(p, _):
+    p["bias"] = "0.5"
+
+
+def base_score_numeric_str(p, _):
+    p["base_score"] = "0.5"
+
+
+def threshold_numeric_str(p, _):
+    p["threshold"][0][0] = "0.5"
+
+
+def leaf_numeric_str(p, _):
+    p["leaf"][0][0] = "0.5"
+
+
+def scale_numeric_str(p, _):
+    p["scale"][0] = "0.5"
+
+
+def _tau(value, kind):
+    def corrupt(_, payload):
+        payload["tau"] = value
+    corrupt.__name__ = f"tau_{value!r}_{kind}"
+    return corrupt
+
+
 def std_zero(_, payload):
     payload["standardization"]["std"][0] = 0.0
 
@@ -814,9 +879,15 @@ _CORRUPTIONS = [
         depth_disagrees, depth_not_integer, depth_negative, feature_row_ragged,
         leaf_width_wrong, threshold_transposed, scale_count_wrong, feature_fractional, feature_negative,
         feature_out_of_range, threshold_nan, threshold_inf, leaf_nan, scale_inf,
-        base_score_nan, std_zero,
+        base_score_nan, std_zero, base_score_numeric_str, threshold_numeric_str, leaf_numeric_str,
+        scale_numeric_str,
     )
-] + [("logistic", c) for c in (weights_nan, bias_inf, bias_overflows, mean_nan)]
+] + [
+    ("logistic", c)
+    for c in (weights_nan, bias_inf, bias_overflows, mean_nan, mean_numeric_str, weights_numeric_str,
+              bias_numeric_str)
+] + [(kind, _tau(tau, kind)) for kind in ("logistic", "tree_ensemble")
+     for tau in (0.0, 1.0, 5.0, math.nan, "0.3")]
 
 
 def _small_model(kind: str) -> AcceptanceModel:
@@ -903,10 +974,12 @@ class TestSerialization:
             "standardization": {"mean": list(model.mean), "std": list(model.std)},
             "parameters": {key: value.tolist() if isinstance(value, np.ndarray) else value
                            for key, value in model.parameters.items()},
+            "tau": model.tau,
         }
         corrupt(fields["parameters"], fields)
         broken = AcceptanceModel(model.feature_names, tuple(fields["standardization"]["mean"]),
-                                 tuple(fields["standardization"]["std"]), kind, fields["parameters"])
+                                 tuple(fields["standardization"]["std"]), kind, fields["parameters"],
+                                 fields["tau"])
         with pytest.raises(ModelFormatError):
             predict_proba(broken, [0.5, 0.5])
         decision = should_trigger(broken, [0.5, 0.5], 0.1)
