@@ -172,8 +172,8 @@ class ProportionComparison:
     log10_p_fisher: float
 
 
-def proportion_comparison(t: TwoByTwo, confidence: float = 0.95) -> ProportionComparison:
-    """Run the full comparison suite on one 2x2 table."""
+def proportion_comparison(t: TwoByTwo) -> ProportionComparison:
+    """Run the full comparison suite on one 2x2 table, with 95% Wilson intervals."""
     ztest = two_proportion_z(t)
     fisher = fisher_exact(t)
     rate1 = t.k1 / t.n1
@@ -182,8 +182,8 @@ def proportion_comparison(t: TwoByTwo, confidence: float = 0.95) -> ProportionCo
         table=t,
         rate1=rate1,
         rate2=rate2,
-        ci1=wilson_interval(t.k1, t.n1, confidence),
-        ci2=wilson_interval(t.k2, t.n2, confidence),
+        ci1=wilson_interval(t.k1, t.n1),
+        ci2=wilson_interval(t.k2, t.n2),
         delta_pp=(rate2 - rate1) * 100.0,
         risk_ratio=risk_ratio(t),
         odds_ratio=odds_ratio(t),

@@ -257,6 +257,7 @@ class TestComparisonBundle:
         assert c.risk_ratio == pytest.approx(1.86, abs=0.005)
         assert c.odds_ratio == pytest.approx(2.30, abs=0.005)
         assert c.z == pytest.approx(10.90, abs=0.01)
+        assert (c.ci1, c.ci2) == (wilson_interval(*BEFORE, 0.95), wilson_interval(*AFTER, 0.95))
 
     def test_counts_validation(self):
         with pytest.raises(InvalidCounts):
