@@ -1012,6 +1012,11 @@ class TestSerialization:
         np.testing.assert_array_equal(predict_proba_batch(load_model(tmp_path / "m.json"), X_probe),
                                       predict_proba_batch(model, X_probe))
 
+    def test_numpy_tau_is_saved_as_the_float_it_checked(self, tmp_path):
+        model = _small_model("logistic").with_tau(np.float32(0.25))
+        save_model(model, tmp_path / "m.json")
+        assert load_model(tmp_path / "m.json").tau == 0.25
+
     def test_tree_file_holds_the_six_format_parameters(self, tmp_path):
         import json
 
