@@ -1,6 +1,6 @@
 """Write the golden end-to-end fixture in tests/golden/.
 
-    PYTHONPATH=src python3 scripts/write_golden.py
+    python3 scripts/write_golden.py
 
 The fixture is a small synth event log (``events.jsonl``), a logistic and a
 tree model fitted on all of its records with balanced class weights and τ
@@ -63,9 +63,9 @@ def outputs(records, models: dict[str, AcceptanceModel]) -> dict:
     row probability (as the gate scores a ``FeatureVector``), batch
     probability and decision."""
     X, _ = split_to_arrays(records)
+    vectors = [FeatureVector(r.x) for r in records]
     result = {"records": [{"x": list(r.x), "y": r.y} for r in records]}
     for kind, model in models.items():
-        vectors = [FeatureVector(r.x) for r in records]
         result[kind] = {
             "tau": model.tau,
             "row": [predict_proba(model, v) for v in vectors],

@@ -572,9 +572,6 @@ _FORMS = {
     "nested list": lambda v: [list(v)],
 }
 
-#: The forms a logistic row hands to the batch's arithmetic.
-_HANDED_ON = ("1-D array", "(1, n) array", "nested list")
-
 
 def _logistic_model(mean, std, weights, bias) -> AcceptanceModel:
     return AcceptanceModel(
@@ -624,7 +621,8 @@ class TestLogisticRow:
 
     def test_numpy_float32_values_are_summed_in_float64(self):
         rng = np.random.default_rng(5)
-        mean, std, weights = rng.normal(size=N_FEATURES), rng.uniform(0.5, 2.0, N_FEATURES), rng.normal(size=N_FEATURES)
+        mean, weights = rng.normal(size=(2, N_FEATURES))
+        std = rng.uniform(0.5, 2.0, N_FEATURES)
         model = _logistic_model(mean.tolist(), std.tolist(), weights.tolist(), 0.3)
         x = [np.float32(v) for v in rng.normal(size=N_FEATURES)]
         terms = (np.array(x, dtype=float) - mean) / std * weights
@@ -632,7 +630,7 @@ class TestLogisticRow:
         batch = predict_proba_batch(model, np.array([x]))[0]
         assert abs(predict_proba(model, x) - batch) <= bound
 
-    @pytest.mark.parametrize("form", _HANDED_ON)
+    @pytest.mark.parametrize("form", ["1-D array", "(1, n) array", "nested list"])
     @settings(max_examples=50, deadline=None)
     @given(data=st.data())
     def test_forms_handed_on_score_bit_equal_to_batch(self, form, data):
@@ -1011,6 +1009,18 @@ class TestSerialization:
         X_probe, _ = xor_data(20, seed=6)
         np.testing.assert_array_equal(predict_proba_batch(load_model(tmp_path / "m.json"), X_probe),
                                       predict_proba_batch(model, X_probe))
+
+    def test_bool_numbers_load_as_in_a_row(self, tmp_path):
+        import json
+
+        model = _small_model("logistic")
+        save_model(model, tmp_path / "m.json")
+        payload = json.loads((tmp_path / "m.json").read_text())
+        payload["parameters"]["bias"] = True
+        (tmp_path / "m.json").write_text(json.dumps(payload))
+        expected = replace(model, parameters=dict(model.parameters, bias=1.0))
+        loaded = load_model(tmp_path / "m.json")
+        assert predict_proba(loaded, [0.5, 0.5]) == predict_proba(expected, [0.5, 0.5])
 
     def test_numpy_tau_is_saved_as_the_float_it_checked(self, tmp_path):
         model = _small_model("logistic").with_tau(np.float32(0.25))
